@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"islands/internal/sim"
@@ -15,21 +14,45 @@ import (
 // instant: the machine-wide sum of row version counters equals the
 // machine-wide committed row updates plus in-flight bumps (bounded by one
 // transaction per worker, each touching at most RowsPerTxn rows).
-// An undo bug, a lost 2PC decision, or a partial commit would break it.
+// An undo bug, a lost 2PC decision, or a partial commit would break it. The
+// evicting case caps the buffer pools well below the working set, so dirty
+// pages are evicted and re-fetched throughout: versions lost across
+// eviction would break it too.
 func TestAtomicityInvariantUnderContention(t *testing.T) {
-	for _, n := range []int{1, 4, 24} {
-		n := n
-		t.Run(fmt.Sprintf("%dISL", n), func(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		n         int
+		rows      int64
+		poolPages int // machine-wide; 0 fits each partition
+	}{
+		{"1ISL", 1, 2400, 0}, // small: lots of conflicts
+		{"4ISL", 4, 2400, 0},
+		{"24ISL", 24, 2400, 0},
+		{"4ISL-evict", 4, 24000, 4 * 24}, // 24 of ~188 pages per instance
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			m := topology.QuadSocket()
-			cfg := DefaultConfig(m, n, 2400) // small: lots of conflicts
+			cfg := DefaultConfig(m, tc.n, tc.rows)
+			cfg.BufferPoolPagesTotal = tc.poolPages
 			d := NewDeployment(cfg)
 			defer d.Close()
 			const rowsPerTxn = 2
 			d.Start(workload.NewMicro(workload.MicroConfig{
-				Table: 1, GlobalRows: 2400, RowsPerTxn: rowsPerTxn,
+				Table: 1, GlobalRows: tc.rows, RowsPerTxn: rowsPerTxn,
 				Write: true, PctMultisite: 0.5, ZipfS: 0.9, Seed: 3,
 			}, d.Part))
 			d.Kernel.RunFor(10 * sim.Millisecond)
+
+			if tc.poolPages > 0 {
+				var dirtyEvictions uint64
+				for _, in := range d.Instances {
+					dirtyEvictions += in.BufferPool().DirtyWriteBacks
+				}
+				if dirtyEvictions == 0 {
+					t.Error("expected dirty evictions with pools below the working set")
+				}
+			}
 
 			var aborts uint64
 			for _, in := range d.Instances {

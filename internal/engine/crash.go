@@ -85,15 +85,7 @@ func (in *Instance) Restore() sim.Time {
 	// Fresh storage, freshly loaded tables — the same bring-up as
 	// NewInstance. The buffer pool starts cold: the post-recovery cache-miss
 	// burst is part of the measured recovery dip.
-	in.store = storage.NewPageStore()
-	in.tables = make(map[storage.TableID]*tableState)
-	for _, spec := range in.opts.Tables {
-		def := &storage.Table{ID: spec.ID, Name: spec.Name, RowBytes: spec.RowBytes, NumRows: spec.LocalRows}
-		in.store.AddTable(def)
-		idx := storage.NewBTree(0)
-		idx.BulkLoadRange(spec.LocalRows, def.Locate, 0.9)
-		in.tables[spec.ID] = &tableState{def: def, idx: idx}
-	}
+	in.loadTables()
 	in.bp = storage.NewBufferPool(in.store, in.disk, in.bpPages)
 	in.locks = lock.NewManager(in.opts.Locking)
 	if in.opts.SerialExecution {

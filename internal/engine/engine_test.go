@@ -124,16 +124,9 @@ func TestUpdateActuallyUpdatesRow(t *testing.T) {
 			ins[0].runTxn(ctx, Request{Ops: []Op{{Table: 1, Key: 7, Kind: OpUpdate}}}, reply)
 		}
 		// Verify the version counter advanced 3 times.
-		txn := ins[0].newTxn(ctx, 999999, false)
-		ts := ins[0].tables[1]
-		rid, _ := ts.idx.Search(ctx, 7)
-		pg := ins[0].bp.Fix(ctx, rid.Page)
-		row, _ := pg.Get(rid.Slot)
-		if v := storage.RowVersion(row); v != 3 {
+		if v := ins[0].store.Version(1, 7); v != 3 {
 			t.Errorf("row version = %d, want 3", v)
 		}
-		ins[0].bp.Unfix(ctx, pg, false)
-		_ = txn
 		done = true
 	})
 	k.Run()
@@ -256,18 +249,9 @@ func TestDistributedUpdateDurableOnBothSides(t *testing.T) {
 		t.Error("participant log missing prepare/commit records")
 	}
 	// Remote row version advanced.
-	k.Spawn("verify", func(p *sim.Proc) {
-		ctx := exec.New(p, ins[1].Cores[0], model, nil)
-		tst := ins[1].tables[1]
-		rid, _ := tst.idx.Search(ctx, 5)
-		pg := ins[1].bp.Fix(ctx, rid.Page)
-		row, _ := pg.Get(rid.Slot)
-		if storage.RowVersion(row) != 1 {
-			t.Errorf("remote row version = %d, want 1", storage.RowVersion(row))
-		}
-		ins[1].bp.Unfix(ctx, pg, false)
-	})
-	k.RunFor(1 * sim.Millisecond)
+	if v := ins[1].store.Version(1, 5); v != 1 {
+		t.Errorf("remote row version = %d, want 1", v)
+	}
 }
 
 func TestInsertGrowsTable(t *testing.T) {
@@ -305,20 +289,11 @@ func TestConflictingUpdatesSerializeViaWaitDie(t *testing.T) {
 	}
 	// Strict 2PL serializes the bumps: at any instant the version equals
 	// committed updates plus in-flight bumps (at most one per worker).
-	k.Spawn("verify", func(p *sim.Proc) {
-		ctx := exec.New(p, ins[0].Cores[0], ins[0].model, nil)
-		tst := ins[0].tables[1]
-		rid, _ := tst.idx.Search(ctx, 42)
-		pg := ins[0].bp.Fix(ctx, rid.Page)
-		row, _ := pg.Get(rid.Slot)
-		// Snapshot version and commit count at the same virtual instant.
-		version := storage.RowVersion(row)
-		committed := ins[0].Stats.Committed
-		ins[0].bp.Unfix(ctx, pg, false)
-		workers := uint64(len(ins[0].Cores))
-		if version < committed || version > committed+workers {
-			t.Errorf("row version %d inconsistent with %d commits (+%d in flight)", version, committed, workers)
-		}
-	})
-	k.RunFor(100 * sim.Microsecond)
+	// Snapshot version and commit count at the same virtual instant.
+	version := ins[0].store.Version(1, 42)
+	committed := ins[0].Stats.Committed
+	workers := uint64(len(ins[0].Cores))
+	if version < committed || version > committed+workers {
+		t.Errorf("row version %d inconsistent with %d commits (+%d in flight)", version, committed, workers)
+	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"islands/internal/exec"
 	"islands/internal/ipc"
@@ -159,25 +158,12 @@ type Instance struct {
 	epoch       uint32
 	downWaiters []*sim.Proc
 
-	// scratch stages one row image for synchronous use (synthesize-then-
-	// insert); it must never be held across an operation that consumes
-	// virtual time.
-	scratch []byte
-
 	// coordFree is the free list of coordinator attempt scratches (see
 	// coordScratch in coordinator.go). One scratch per concurrently-live
 	// coordinator attempt; recycled, so the steady state allocates nothing.
 	coordFree *coordScratch
 
 	Stats Stats
-}
-
-// rowScratch returns the instance's staging buffer, grown to n bytes.
-func (in *Instance) rowScratch(n int) []byte {
-	if cap(in.scratch) < n {
-		in.scratch = make([]byte, n)
-	}
-	return in.scratch[:n]
 }
 
 // NewInstance builds (and loads) an instance on the given cores.
@@ -205,7 +191,6 @@ func NewInstance(k *sim.Kernel, topo *topology.Machine, model *mem.Model,
 		tsStride: uint64(part.Instances()),
 		opts:     opts,
 		pending:  make(map[uint64]*Txn),
-		tables:   make(map[storage.TableID]*tableState),
 	}
 	// Threads bound to the same physical core share its run queue (the OS
 	// placement strategy can double up workers on a core).
@@ -221,15 +206,11 @@ func NewInstance(k *sim.Kernel, topo *topology.Machine, model *mem.Model,
 		in.serial = &execToken{}
 	}
 
-	in.store = storage.NewPageStore()
+	in.loadTables()
 	var totalPages int64
 	var totalBytes int64
 	for _, spec := range opts.Tables {
-		def := &storage.Table{ID: spec.ID, Name: spec.Name, RowBytes: spec.RowBytes, NumRows: spec.LocalRows}
-		in.store.AddTable(def)
-		idx := storage.NewBTree(0)
-		idx.BulkLoadRange(spec.LocalRows, def.Locate, 0.9)
-		in.tables[spec.ID] = &tableState{def: def, idx: idx}
+		def := in.tables[spec.ID].def
 		totalPages += def.NumPages()
 		totalBytes += def.Bytes()
 	}
@@ -267,6 +248,21 @@ func NewInstance(k *sim.Kernel, topo *topology.Machine, model *mem.Model,
 	return in
 }
 
+// loadTables builds fresh storage for the partition's tables: a page store
+// holding their definitions and versions, and a bulk-loaded key index per
+// table.
+func (in *Instance) loadTables() {
+	in.store = storage.NewPageStore()
+	in.tables = make(map[storage.TableID]*tableState)
+	for _, spec := range in.opts.Tables {
+		def := &storage.Table{ID: spec.ID, Name: spec.Name, RowBytes: spec.RowBytes, NumRows: spec.LocalRows}
+		in.store.AddTable(def)
+		idx := storage.NewBTree(0)
+		idx.BulkLoadRange(spec.LocalRows, 0.9)
+		in.tables[spec.ID] = &tableState{def: def, idx: idx}
+	}
+}
+
 // Dilation returns the instance's compute dilation factor (diagnostics).
 func (in *Instance) Dilation() float64 { return in.dilation }
 
@@ -295,39 +291,13 @@ func (in *Instance) Locks() *lock.Manager { return in.locks }
 // WorkingSet exposes the memory-model working set (metrics).
 func (in *Instance) WorkingSet() *mem.WorkingSet { return &in.ws }
 
-// SumRowVersions sums the row version counters of every table, reading the
-// current buffer-pool state without consuming any virtual time: a
-// consistent instantaneous snapshot. With strict two-phase locking, at any
-// instant the machine-wide sum equals the machine-wide committed row
-// updates plus the bumps of in-flight transactions (at most one transaction
-// per worker thread): the atomicity invariant used by failure-injection
-// tests.
-func (in *Instance) SumRowVersions() uint64 {
-	var sum uint64
-	for _, ts := range in.sortedTables() {
-		for no := int64(0); no < ts.def.NumPages(); no++ {
-			pg := in.bp.Peek(storage.PageID{Table: ts.def.ID, No: no})
-			if pg == nil {
-				pg = in.store.Fetch(storage.PageID{Table: ts.def.ID, No: no})
-			}
-			for s := 0; s < pg.NumSlots(); s++ {
-				if row, ok := pg.Get(uint16(s)); ok {
-					sum += storage.RowVersion(row)
-				}
-			}
-		}
-	}
-	return sum
-}
-
-func (in *Instance) sortedTables() []*tableState {
-	out := make([]*tableState, 0, len(in.tables))
-	for _, ts := range in.tables {
-		out = append(out, ts)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].def.ID < out[j].def.ID })
-	return out
-}
+// SumRowVersions sums the row version counters of every table without
+// consuming any virtual time: a consistent instantaneous snapshot. With
+// strict two-phase locking, at any instant the machine-wide sum equals the
+// machine-wide committed row updates plus the bumps of in-flight
+// transactions (at most one transaction per worker thread): the atomicity
+// invariant used by failure-injection tests.
+func (in *Instance) SumRowVersions() uint64 { return in.store.SumVersions() }
 
 // newCtx builds an execution context for a thread on the i-th core.
 func (in *Instance) newCtx(p *sim.Proc, i int) *exec.Ctx {

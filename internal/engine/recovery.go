@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"islands/internal/storage"
 	"islands/internal/wal"
 )
 
@@ -20,7 +19,7 @@ type RecoveryReport struct {
 // analysis pass determines transaction outcomes (local commits, distributed
 // commits, aborts; prepared-but-undecided transactions are losers whose
 // fate belongs to their coordinator), then a redo pass reapplies the
-// after-images of winner updates onto freshly synthesized storage.
+// after-versions of winner updates and inserts.
 //
 // The instance must have been created with Options.Wal.Retain; Recover is
 // meant for a *fresh* replacement instance with the same table definitions
@@ -45,8 +44,8 @@ func (in *Instance) Recover(records []wal.Record) (RecoveryReport, error) {
 		}
 	}
 
-	// Redo: reapply winner after-images in log order. Updates are
-	// idempotent here because the full after-image is applied.
+	// Redo: reapply winner records in log order. Redo assigns versions
+	// rather than incrementing them, so replaying a log twice is harmless.
 	for _, r := range records {
 		if r.Type != wal.RecUpdate {
 			continue
@@ -58,9 +57,6 @@ func (in *Instance) Recover(records []wal.Record) (RecoveryReport, error) {
 				rep.Losers++
 			}
 			continue
-		}
-		if len(r.After) == 0 {
-			return rep, fmt.Errorf("engine: update record for txn %d key %d has no after-image (log not retained?)", r.Txn, r.Key)
 		}
 		if err := in.redoOne(r); err != nil {
 			return rep, err
@@ -75,43 +71,24 @@ func (in *Instance) Recover(records []wal.Record) (RecoveryReport, error) {
 	return rep, nil
 }
 
-// redoOne applies one update/insert after-image directly to the backing
-// store (no virtual time: offline recovery).
+// redoOne applies one update or insert (no virtual time: offline recovery).
 func (in *Instance) redoOne(r wal.Record) error {
 	ts := in.tables[r.Table]
 	if ts == nil {
 		return fmt.Errorf("engine: redo for unknown table %d", r.Table)
 	}
+	if r.Key < 0 {
+		return fmt.Errorf("engine: redo for negative key %d in table %d", r.Key, r.Table)
+	}
 	// Inserts beyond the loaded row count grow the table first.
-	for r.Key >= ts.def.NumRows {
-		ts.def.NumRows++
+	if r.Key >= ts.def.NumRows {
+		ts.def.NumRows = r.Key + 1
 	}
-	rid, ok := ts.idx.Search(nil, r.Key)
-	if !ok {
-		rid = ts.def.Locate(r.Key)
+	in.store.SetVersion(r.Table, r.Key, r.Version)
+	ts.idx.Insert(nil, r.Key)
+	// A resident page no longer matches its durable copy.
+	if pg := in.bp.Peek(ts.def.Locate(r.Key)); pg != nil {
+		pg.Dirty = true
 	}
-	pg := in.bp.Peek(rid.Page)
-	if pg == nil {
-		pg = in.store.Fetch(rid.Page)
-	}
-	row, ok := pg.Get(rid.Slot)
-	if !ok {
-		slot, ins := pg.Insert(r.After)
-		if !ins {
-			return fmt.Errorf("engine: redo insert failed on %v", rid.Page)
-		}
-		rid = storage.RID{Page: rid.Page, Slot: slot}
-	} else {
-		if len(row) != len(r.After) {
-			return fmt.Errorf("engine: redo image size mismatch for key %d", r.Key)
-		}
-		if !pg.Update(rid.Slot, r.After) {
-			return fmt.Errorf("engine: redo update failed for key %d", r.Key)
-		}
-	}
-	ts.idx.Insert(nil, r.Key, rid)
-	// Persist: recovery writes go straight to the backing store so a
-	// subsequent cold start sees them.
-	in.store.WriteBack(pg)
 	return nil
 }

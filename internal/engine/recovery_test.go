@@ -24,12 +24,10 @@ func buildRetained(k *sim.Kernel, rows int64) *Instance {
 	return in
 }
 
-// afterImage builds the post-update image of a fresh row.
-func afterImage(def *storage.Table, key int64) []byte {
-	b := make([]byte, def.RowBytes)
-	def.SynthesizeRow(key, b)
-	storage.BumpRowVersion(b)
-	return b
+// bump is the log record of a committed-or-not first update of key: the
+// row's version goes from 0 to 1.
+func bump(txn uint64, table storage.TableID, key int64) wal.Record {
+	return wal.Record{Type: wal.RecUpdate, Txn: txn, Table: table, Key: key, Version: 1, WireBytes: 48}
 }
 
 func TestRecoverReappliesCommittedUpdates(t *testing.T) {
@@ -77,12 +75,11 @@ func TestRecoverSkipsLosers(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	in := buildRetained(k, 240)
-	def := in.TableDef(1)
 	log := []wal.Record{
-		{Type: wal.RecUpdate, Txn: 1, Table: 1, Key: 5, After: afterImage(def, 5)},
+		bump(1, 1, 5),
 		{Type: wal.RecCommit, Txn: 1},
-		{Type: wal.RecUpdate, Txn: 2, Table: 1, Key: 6, After: afterImage(def, 6)},
-		{Type: wal.RecUpdate, Txn: 3, Table: 1, Key: 7, After: afterImage(def, 7)},
+		bump(2, 1, 6),
+		bump(3, 1, 7),
 		{Type: wal.RecAbort, Txn: 3},
 	}
 	rep, err := in.Recover(log)
@@ -106,11 +103,10 @@ func TestRecoverDistributedOutcomes(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	in := buildRetained(k, 240)
-	def := in.TableDef(1)
 	log := []wal.Record{
-		{Type: wal.RecUpdate, Txn: 10, Table: 1, Key: 1, After: afterImage(def, 1)},
+		bump(10, 1, 1),
 		{Type: wal.RecPrepare, Txn: 10}, // undecided: loser
-		{Type: wal.RecUpdate, Txn: 11, Table: 1, Key: 2, After: afterImage(def, 2)},
+		bump(11, 1, 2),
 		{Type: wal.RecPrepare, Txn: 11},
 		{Type: wal.RecDistCommit, Txn: 11},
 	}
@@ -126,87 +122,44 @@ func TestRecoverDistributedOutcomes(t *testing.T) {
 	}
 }
 
-func TestRecoverRejectsImagelessLog(t *testing.T) {
-	k := sim.NewKernel()
-	defer k.Close()
-	in := buildRetained(k, 240)
-	log := []wal.Record{
-		{Type: wal.RecUpdate, Txn: 1, Table: 1, Key: 5}, // no after-image
-		{Type: wal.RecCommit, Txn: 1},
-	}
-	if _, err := in.Recover(log); err == nil {
-		t.Error("expected error for log without after-images")
-	}
-}
-
-// TestRecoverErrorPaths drives Recover through every redo failure — torn
-// and truncated records, unknown tables, un-appliable images — plus the
-// benign torn-tail case, asserting the partial RecoveryReport counts.
+// TestRecoverErrorPaths drives Recover through every redo failure —
+// unknown tables and negative keys — plus the benign torn-tail case,
+// asserting the partial RecoveryReport counts.
 func TestRecoverErrorPaths(t *testing.T) {
 	cases := []struct {
 		name    string
-		log     func(def *storage.Table) []wal.Record
+		log     []wal.Record
 		wantErr bool
 		want    RecoveryReport // compared when set (zero Analyzed = skip)
 	}{
 		{
-			// A committed update whose after-image was never retained (torn
-			// record body): redo cannot proceed.
-			name: "empty after-image",
-			log: func(def *storage.Table) []wal.Record {
-				return []wal.Record{
-					{Type: wal.RecUpdate, Txn: 1, Table: 1, Key: 5},
-					{Type: wal.RecCommit, Txn: 1},
-				}
-			},
-			wantErr: true,
-		},
-		{
-			// A truncated (partial) after-image for an existing row: the
-			// fixed-width update must reject the size mismatch.
-			name: "truncated after-image",
-			log: func(def *storage.Table) []wal.Record {
-				return []wal.Record{
-					{Type: wal.RecUpdate, Txn: 1, Table: 1, Key: 5, After: afterImage(def, 5)[:10]},
-					{Type: wal.RecCommit, Txn: 1},
-				}
-			},
-			wantErr: true,
-		},
-		{
 			// A record for a table this instance does not own.
 			name: "unknown table",
-			log: func(def *storage.Table) []wal.Record {
-				return []wal.Record{
-					{Type: wal.RecUpdate, Txn: 1, Table: 9, Key: 5, After: afterImage(def, 5)},
-					{Type: wal.RecCommit, Txn: 1},
-				}
+			log: []wal.Record{
+				bump(1, 9, 5),
+				{Type: wal.RecCommit, Txn: 1},
 			},
 			wantErr: true,
 		},
 		{
-			// An insert-like redo (key beyond the loaded rows) whose image
-			// cannot possibly fit a page: the redo insert fails.
-			name: "unappliable insert image",
-			log: func(def *storage.Table) []wal.Record {
-				return []wal.Record{
-					{Type: wal.RecUpdate, Txn: 1, Table: 1, Key: 100000, After: make([]byte, storage.PageSize+1)},
-					{Type: wal.RecCommit, Txn: 1},
-				}
+			// A key no row can have: it has no page to live on.
+			name: "negative key",
+			log: []wal.Record{
+				bump(1, 1, -1),
+				{Type: wal.RecCommit, Txn: 1},
 			},
 			wantErr: true,
+			want:    RecoveryReport{Analyzed: 2},
 		},
 		{
 			// A good record before the bad one: the partial report shows the
 			// progress made before the failure.
 			name: "fails after partial redo",
-			log: func(def *storage.Table) []wal.Record {
-				return []wal.Record{
-					{Type: wal.RecUpdate, Txn: 1, Table: 1, Key: 5, After: afterImage(def, 5)},
-					{Type: wal.RecCommit, Txn: 1},
-					{Type: wal.RecUpdate, Txn: 2, Table: 1, Key: 6},
-					{Type: wal.RecCommit, Txn: 2},
-				}
+			log: []wal.Record{
+				bump(1, 1, 5),
+				{Type: wal.RecCommit, Txn: 1},
+				bump(2, 9, 6),
+				{Type: wal.RecCommit, Txn: 2},
 			},
 			wantErr: true,
 			want:    RecoveryReport{Analyzed: 4, Redone: 1},
@@ -215,12 +168,10 @@ func TestRecoverErrorPaths(t *testing.T) {
 			// Torn tail: the log ends mid-transaction (update without any
 			// outcome record). Not an error — the tail is a loser.
 			name: "torn tail is a loser",
-			log: func(def *storage.Table) []wal.Record {
-				return []wal.Record{
-					{Type: wal.RecUpdate, Txn: 1, Table: 1, Key: 5, After: afterImage(def, 5)},
-					{Type: wal.RecCommit, Txn: 1},
-					{Type: wal.RecUpdate, Txn: 2, Table: 1, Key: 6, After: afterImage(def, 6)},
-				}
+			log: []wal.Record{
+				bump(1, 1, 5),
+				{Type: wal.RecCommit, Txn: 1},
+				bump(2, 1, 6),
 			},
 			want: RecoveryReport{Analyzed: 3, Redone: 1, Skipped: 1, Committed: 1, Losers: 1},
 		},
@@ -230,7 +181,7 @@ func TestRecoverErrorPaths(t *testing.T) {
 			k := sim.NewKernel()
 			defer k.Close()
 			in := buildRetained(k, 240)
-			rep, err := in.Recover(tc.log(in.TableDef(1)))
+			rep, err := in.Recover(tc.log)
 			if tc.wantErr && err == nil {
 				t.Fatalf("expected an error, got report %+v", rep)
 			}
@@ -241,5 +192,68 @@ func TestRecoverErrorPaths(t *testing.T) {
 				t.Errorf("report %+v, want %+v", rep, tc.want)
 			}
 		})
+	}
+}
+
+// TestRecoverIsIdempotent replays one retained log of updates and inserts
+// twice onto the same fresh instance: the second pass must leave row
+// versions and the index exactly as the first left them.
+func TestRecoverIsIdempotent(t *testing.T) {
+	k := sim.NewKernel()
+	victim := buildRetained(k, 240)
+	victim.StartWorkersOnly(newFixedSource(
+		Request{Ops: []Op{{Table: 1, Key: 7, Kind: OpUpdate}, {Table: 1, Kind: OpInsert}}},
+		Request{Ops: []Op{{Table: 1, Key: 100, Kind: OpUpdate}, {Table: 1, Key: 7, Kind: OpUpdate}}},
+	))
+	k.RunFor(2 * sim.Millisecond)
+	log := victim.Wal().Records()
+	k.Close()
+
+	k2 := sim.NewKernel()
+	defer k2.Close()
+	fresh := buildRetained(k2, 240)
+	first, err := fresh.Recover(log)
+	if err != nil {
+		t.Fatalf("first recover: %v", err)
+	}
+	sum, size, rows := fresh.SumRowVersions(), fresh.tables[1].idx.Size(), fresh.TableDef(1).NumRows
+	if first.Redone == 0 || sum == 0 || size <= 240 {
+		t.Fatalf("log exercised too little: %+v sum=%d index=%d", first, sum, size)
+	}
+	second, err := fresh.Recover(log)
+	if err != nil {
+		t.Fatalf("second recover: %v", err)
+	}
+	if second != first {
+		t.Errorf("second report %+v, first %+v", second, first)
+	}
+	if got := fresh.SumRowVersions(); got != sum {
+		t.Errorf("version sum %d after second replay, %d after first", got, sum)
+	}
+	if got := fresh.tables[1].idx.Size(); got != size {
+		t.Errorf("index size %d after second replay, %d after first", got, size)
+	}
+	if got := fresh.TableDef(1).NumRows; got != rows {
+		t.Errorf("NumRows %d after second replay, %d after first", got, rows)
+	}
+}
+
+// TestRedoDirtiesResidentPage: a redo that lands on a buffer-pool-resident
+// page leaves that page dirty, so its eviction still costs a write-back;
+// pages the log does not touch stay clean.
+func TestRedoDirtiesResidentPage(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	in := buildRetained(k, 240)
+	in.BufferPool().Prewarm(0)
+	if _, err := in.Recover([]wal.Record{bump(1, 1, 5), {Type: wal.RecCommit, Txn: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	def := in.TableDef(1)
+	if pg := in.BufferPool().Peek(def.Locate(5)); pg == nil || !pg.Dirty {
+		t.Error("redo left the resident page of key 5 clean")
+	}
+	if pg := in.BufferPool().Peek(def.Locate(100)); pg == nil || pg.Dirty {
+		t.Error("redo dirtied a page it did not touch")
 	}
 }

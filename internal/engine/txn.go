@@ -22,25 +22,14 @@ type Txn struct {
 	nUpdates   int    // row version bumps (atomicity accounting)
 	lastLSN    wal.LSN
 	undo       []undoEntry
-
-	// undoBuf is the arena behind the undo entries' before-images: one
-	// growing buffer per transaction instead of one allocation per updated
-	// row.
-	undoBuf []byte
 }
 
-// saveBefore copies a before-image into the transaction's undo arena.
-func (t *Txn) saveBefore(row []byte) []byte {
-	n := len(t.undoBuf)
-	t.undoBuf = append(t.undoBuf, row...)
-	return t.undoBuf[n:len(t.undoBuf):len(t.undoBuf)]
-}
-
+// undoEntry reverts one row change: an insert drops the key from the index,
+// an update restores the version the row had before it.
 type undoEntry struct {
 	table  storage.TableID
-	rid    storage.RID
 	key    int64
-	before []byte
+	before uint64
 	insert bool
 }
 
@@ -89,20 +78,15 @@ func (t *Txn) readRow(ctx *exec.Ctx, ts *tableState, key int64) error {
 			return err
 		}
 	}
-	rid, ok := ts.idx.Search(ctx, key)
-	if !ok {
+	if !ts.idx.Search(ctx, key) {
 		return fmt.Errorf("engine: table %s has no key %d", ts.def.Name, key)
 	}
-	pg := in.bp.Fix(ctx, rid.Page)
+	pg := in.bp.Fix(ctx, ts.def.Locate(key))
 	if in.opts.Latching {
 		pg.Latch.AcquireShared(ctx)
 	}
 	ctx.ReadLine(&pg.HeaderLine)
-	row, ok := pg.Get(rid.Slot)
-	if !ok || storage.RowKey(row) != key {
-		panic(fmt.Sprintf("engine: corrupt row at %v for key %d", rid, key))
-	}
-	ctx.ReadData(&in.ws, len(row))
+	ctx.ReadData(&in.ws, ts.def.RowBytes)
 	ctx.Charge(CostPerRowCPU)
 	if in.opts.Latching {
 		pg.Latch.ReleaseShared(ctx)
@@ -121,38 +105,25 @@ func (t *Txn) updateRow(ctx *exec.Ctx, ts *tableState, key int64) error {
 			return err
 		}
 	}
-	rid, ok := ts.idx.Search(ctx, key)
-	if !ok {
+	if !ts.idx.Search(ctx, key) {
 		return fmt.Errorf("engine: table %s has no key %d", ts.def.Name, key)
 	}
-	pg := in.bp.Fix(ctx, rid.Page)
+	pg := in.bp.Fix(ctx, ts.def.Locate(key))
 	if in.opts.Latching {
 		pg.Latch.AcquireExclusive(ctx)
 	}
 	ctx.WriteLine(&pg.HeaderLine)
-	row, ok := pg.Get(rid.Slot)
-	if !ok || storage.RowKey(row) != key {
-		panic(fmt.Sprintf("engine: corrupt row at %v for key %d", rid, key))
-	}
-	// Both images live in the transaction's arena: virtual time passes
-	// between here and the log append, so a shared scratch buffer could be
-	// overwritten by a concurrent worker before the log retains the record.
-	before := t.saveBefore(row)
-	after := t.saveBefore(row)
-	storage.BumpRowVersion(after)
-	if !pg.Update(rid.Slot, after) {
-		panic("engine: in-place update failed")
-	}
-	ctx.WriteData(&in.ws, len(after))
+	before := in.store.Version(ts.def.ID, key)
+	in.store.SetVersion(ts.def.ID, key, before+1)
+	ctx.WriteData(&in.ws, ts.def.RowBytes)
 	ctx.Charge(CostPerRowCPU)
 	t.lastLSN = in.wal.Append(ctx, wal.Record{
-		Type: wal.RecUpdate, Txn: t.TS, Table: ts.def.ID, Key: key,
-		Before: before, After: after,
+		Type: wal.RecUpdate, Txn: t.TS, Table: ts.def.ID, Key: key, Version: before + 1,
 		// Physiological logging: the update touches a few bytes, not the
-		// full before/after images.
+		// full row.
 		WireBytes: 48,
 	})
-	t.undo = append(t.undo, undoEntry{table: ts.def.ID, rid: rid, key: key, before: before})
+	t.undo = append(t.undo, undoEntry{table: ts.def.ID, key: key, before: before})
 	t.updated = true
 	t.nUpdates++
 	if in.opts.Latching {
@@ -176,39 +147,21 @@ func (t *Txn) insertRow(ctx *exec.Ctx, ts *tableState) error {
 			return err
 		}
 	}
-	want := ts.def.Locate(key)
-	pg := in.bp.Fix(ctx, want.Page)
+	// The new row's version is 0, which the store already holds for a key
+	// that was never updated: the insert writes only the index entry.
+	pg := in.bp.Fix(ctx, ts.def.Locate(key))
 	if in.opts.Latching {
 		pg.Latch.AcquireExclusive(ctx)
 	}
 	ctx.WriteLine(&pg.HeaderLine)
-	rid := want
-	row, ok := pg.Get(want.Slot)
-	if ok && storage.RowKey(row) == key {
-		// Freshly synthesized page already materialized the row.
-	} else {
-		// The scratch is used strictly synchronously: Insert copies it into
-		// the page before any virtual time can pass, and row then aliases
-		// the page-resident (pinned, X-locked) copy.
-		buf := in.rowScratch(ts.def.RowBytes)
-		ts.def.SynthesizeRow(key, buf)
-		slot, ok := pg.Insert(buf)
-		if !ok {
-			panic("engine: insert into full page")
-		}
-		rid = storage.RID{Page: want.Page, Slot: slot}
-		row, _ = pg.Get(slot)
-	}
 	ctx.WriteData(&in.ws, ts.def.RowBytes)
 	ctx.Charge(CostPerRowCPU)
-	ts.idx.Insert(ctx, key, rid)
-	// Append reads only the image length (and deep-copies under Retain), so
-	// passing the transient row is safe.
+	ts.idx.Insert(ctx, key)
 	t.lastLSN = in.wal.Append(ctx, wal.Record{
 		Type: wal.RecUpdate, Txn: t.TS, Table: ts.def.ID, Key: key,
-		After: row,
+		WireBytes: ts.def.RowBytes, // the whole new row is logged
 	})
-	t.undo = append(t.undo, undoEntry{table: ts.def.ID, rid: rid, key: key, insert: true})
+	t.undo = append(t.undo, undoEntry{table: ts.def.ID, key: key, insert: true})
 	t.updated = true
 	if in.opts.Latching {
 		pg.Latch.ReleaseExclusive(ctx)
@@ -253,15 +206,14 @@ func (t *Txn) abortLocal(ctx *exec.Ctx) {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		u := t.undo[i]
 		ts := in.tables[u.table]
-		pg := in.bp.Fix(ctx, u.rid.Page)
+		pg := in.bp.Fix(ctx, ts.def.Locate(u.key))
 		if in.opts.Latching {
 			pg.Latch.AcquireExclusive(ctx)
 		}
 		if u.insert {
 			ts.idx.Delete(ctx, u.key)
-			pg.Delete(u.rid.Slot)
-		} else if !pg.Update(u.rid.Slot, u.before) {
-			panic("engine: undo failed")
+		} else {
+			in.store.SetVersion(u.table, u.key, u.before)
 		}
 		ctx.Charge(CostUndoPerRow)
 		if in.opts.Latching {

@@ -14,10 +14,12 @@ const (
 	DefaultBTreeOrder = 96
 )
 
-// BTree is an in-memory B+tree mapping int64 keys to RIDs: the primary
-// index of every table, standing in for Shore-MT's B-link trees. Each node
-// carries a coherence-tracked line, so index traversals by instances that
-// span sockets generate the cross-socket traffic the paper observes.
+// BTree is an in-memory B+tree over int64 keys: the primary index of every
+// table, standing in for Shore-MT's B-link trees. It records which keys
+// exist; a key's page follows from the key itself (Table.Locate), so leaves
+// carry no record identifiers. Each node carries a coherence-tracked line,
+// so index traversals by instances that span sockets generate the
+// cross-socket traffic the paper observes.
 //
 // Deletion is lazy (keys are removed from leaves without rebalancing),
 // matching the common production choice; structure invariants still hold
@@ -34,8 +36,6 @@ type bnode struct {
 	leaf     bool
 	keys     []int64
 	children []*bnode // inner nodes
-	rids     []RID    // leaf nodes
-	next     *bnode   // leaf chain
 }
 
 // NewBTree returns an empty tree with the given order (max keys per node);
@@ -67,8 +67,8 @@ func (t *BTree) touch(ctx *exec.Ctx, n *bnode, write bool) {
 	}
 }
 
-// Search returns the RID for key.
-func (t *BTree) Search(ctx *exec.Ctx, key int64) (RID, bool) {
+// Search reports whether key is in the tree.
+func (t *BTree) Search(ctx *exec.Ctx, key int64) bool {
 	n := t.root
 	for !n.leaf {
 		t.touch(ctx, n, false)
@@ -76,10 +76,7 @@ func (t *BTree) Search(ctx *exec.Ctx, key int64) (RID, bool) {
 	}
 	t.touch(ctx, n, false)
 	i := lowerBound(n.keys, key)
-	if i < len(n.keys) && n.keys[i] == key {
-		return n.rids[i], true
-	}
-	return RID{}, false
+	return i < len(n.keys) && n.keys[i] == key
 }
 
 // lowerBound returns the first index whose key is >= key. Hand-rolled
@@ -113,10 +110,9 @@ func childIndex(keys []int64, key int64) int {
 	return lo
 }
 
-// Insert adds or replaces the mapping for key. It reports whether the key
-// was new.
-func (t *BTree) Insert(ctx *exec.Ctx, key int64, rid RID) bool {
-	promoted, right, added := t.insert(ctx, t.root, key, rid)
+// Insert adds key. It reports whether the key was new.
+func (t *BTree) Insert(ctx *exec.Ctx, key int64) bool {
+	promoted, right, added := t.insert(ctx, t.root, key)
 	if right != nil {
 		newRoot := &bnode{
 			keys:     []int64{promoted},
@@ -131,36 +127,29 @@ func (t *BTree) Insert(ctx *exec.Ctx, key int64, rid RID) bool {
 	return added
 }
 
-func (t *BTree) insert(ctx *exec.Ctx, n *bnode, key int64, rid RID) (promoted int64, right *bnode, added bool) {
+func (t *BTree) insert(ctx *exec.Ctx, n *bnode, key int64) (promoted int64, right *bnode, added bool) {
 	if n.leaf {
 		t.touch(ctx, n, true)
 		i := lowerBound(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
-			n.rids[i] = rid
 			return 0, nil, false
 		}
 		n.keys = append(n.keys, 0)
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = key
-		n.rids = append(n.rids, RID{})
-		copy(n.rids[i+1:], n.rids[i:])
-		n.rids[i] = rid
 		if len(n.keys) <= t.order {
 			return 0, nil, true
 		}
 		mid := len(n.keys) / 2
-		r := &bnode{leaf: true, next: n.next}
+		r := &bnode{leaf: true}
 		r.keys = append(r.keys, n.keys[mid:]...)
-		r.rids = append(r.rids, n.rids[mid:]...)
 		n.keys = n.keys[:mid:mid]
-		n.rids = n.rids[:mid:mid]
-		n.next = r
 		return r.keys[0], r, true
 	}
 
 	t.touch(ctx, n, false)
 	ci := childIndex(n.keys, key)
-	promoted, right, added = t.insert(ctx, n.children[ci], key, rid)
+	promoted, right, added = t.insert(ctx, n.children[ci], key)
 	if right == nil {
 		return 0, nil, added
 	}
@@ -198,52 +187,14 @@ func (t *BTree) Delete(ctx *exec.Ctx, key int64) bool {
 		return false
 	}
 	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.rids = append(n.rids[:i], n.rids[i+1:]...)
 	t.size--
 	return true
 }
 
-// Range calls fn for every key in [lo, hi] in ascending order until fn
-// returns false.
-func (t *BTree) Range(ctx *exec.Ctx, lo, hi int64, fn func(key int64, rid RID) bool) {
-	n := t.root
-	for !n.leaf {
-		t.touch(ctx, n, false)
-		n = n.children[childIndex(n.keys, lo)]
-	}
-	for n != nil {
-		t.touch(ctx, n, false)
-		for i, k := range n.keys {
-			if k < lo {
-				continue
-			}
-			if k > hi {
-				return
-			}
-			if !fn(k, n.rids[i]) {
-				return
-			}
-		}
-		n = n.next
-	}
-}
-
-// BulkLoad builds the tree from keys that MUST be sorted ascending, with the
-// given leaf fill fraction (0 < fill <= 1, e.g. 0.9). It replaces the tree's
-// contents and is the fast path for loading a partition at deployment time.
-func (t *BTree) BulkLoad(keys []int64, rid func(key int64) RID, fill float64) {
-	t.bulkLoad(int64(len(keys)), func(i int64) int64 { return keys[i] }, rid, fill)
-}
-
-// BulkLoadRange bulk-loads the dense key range [0, n) without materializing
-// a key slice — the common case of loading a freshly partitioned table,
-// where a 240K-row partition would otherwise allocate (and immediately
-// discard) megabytes of sequential keys per instance.
-func (t *BTree) BulkLoadRange(n int64, rid func(key int64) RID, fill float64) {
-	t.bulkLoad(n, func(i int64) int64 { return i }, rid, fill)
-}
-
-func (t *BTree) bulkLoad(n int64, keyAt func(int64) int64, rid func(key int64) RID, fill float64) {
+// BulkLoadRange builds the tree over the dense key range [0, n) with the
+// given leaf fill fraction (0 < fill <= 1, e.g. 0.9), replacing its
+// contents: the fast path for loading a freshly partitioned table.
+func (t *BTree) BulkLoadRange(n int64, fill float64) {
 	if fill <= 0 || fill > 1 {
 		fill = 0.9
 	}
@@ -258,38 +209,21 @@ func (t *BTree) bulkLoad(n int64, keyAt func(int64) int64, rid func(key int64) R
 		return
 	}
 	// Build leaves with exactly-sized slices.
-	leaves := make([]*bnode, 0, (n+per-1)/per)
+	level := make([]*bnode, 0, (n+per-1)/per)
 	for i := int64(0); i < n; i += per {
-		end := i + per
-		if end > n {
-			end = n
+		leaf := &bnode{leaf: true, keys: make([]int64, min(per, n-i))}
+		for j := range leaf.keys {
+			leaf.keys[j] = i + int64(j)
 		}
-		leaf := &bnode{
-			leaf: true,
-			keys: make([]int64, end-i),
-			rids: make([]RID, end-i),
-		}
-		for j := i; j < end; j++ {
-			k := keyAt(j)
-			leaf.keys[j-i] = k
-			leaf.rids[j-i] = rid(k)
-		}
-		if len(leaves) > 0 {
-			leaves[len(leaves)-1].next = leaf
-		}
-		leaves = append(leaves, leaf)
+		level = append(level, leaf)
 	}
 	// Build inner levels.
-	level := leaves
 	t.height = 1
 	fan := int(per) + 1
 	for len(level) > 1 {
 		parents := make([]*bnode, 0, (len(level)+fan-1)/fan)
 		for i := 0; i < len(level); i += fan {
-			end := i + fan
-			if end > len(level) {
-				end = len(level)
-			}
+			end := min(i+fan, len(level))
 			parent := &bnode{
 				children: make([]*bnode, end-i),
 				keys:     make([]int64, end-i-1),
@@ -314,11 +248,12 @@ func leftmostKey(n *bnode) int64 {
 }
 
 // CheckInvariants verifies structural invariants: sorted keys, uniform leaf
-// depth, separator correctness, child counts, and leaf-chain order. It
-// returns a description of the first violation, or "".
+// depth, separator correctness, child counts, key order across leaves, and
+// the key count. It returns a description of the first violation, or "".
 func (t *BTree) CheckInvariants() string {
 	depths := map[int]bool{}
 	var prevLeafMax *int64
+	count := 0
 	var walk func(n *bnode, depth int, lo, hi *int64) string
 	walk = func(n *bnode, depth int, lo, hi *int64) string {
 		for i := 1; i < len(n.keys); i++ {
@@ -339,16 +274,13 @@ func (t *BTree) CheckInvariants() string {
 			if len(depths) > 1 {
 				return "leaves at different depths"
 			}
-			if len(n.keys) != len(n.rids) {
-				return "leaf keys/rids mismatch"
-			}
 			for _, k := range n.keys {
-				k := k
 				if prevLeafMax != nil && k <= *prevLeafMax {
-					return "leaf chain out of order"
+					return "leaves out of order"
 				}
 				prevLeafMax = &k
 			}
+			count += len(n.keys)
 			return ""
 		}
 		if len(n.children) != len(n.keys)+1 {
@@ -375,17 +307,8 @@ func (t *BTree) CheckInvariants() string {
 	if msg := walk(t.root, 1, nil, nil); msg != "" {
 		return msg
 	}
-	// Leaf chain must enumerate exactly size keys.
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	count := 0
-	for ; n != nil; n = n.next {
-		count += len(n.keys)
-	}
 	if count != t.size {
-		return "leaf chain count disagrees with size"
+		return "leaf key count disagrees with size"
 	}
 	return ""
 }

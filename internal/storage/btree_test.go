@@ -6,14 +6,10 @@ import (
 	"testing/quick"
 )
 
-func ridFor(k int64) RID {
-	return RID{Page: PageID{Table: 1, No: k / 32}, Slot: uint16(k % 32)}
-}
-
 func TestBTreeInsertSearch(t *testing.T) {
 	bt := NewBTree(8) // small order exercises splits
 	for k := int64(0); k < 1000; k++ {
-		if !bt.Insert(nil, k, ridFor(k)) {
+		if !bt.Insert(nil, k) {
 			t.Fatalf("insert %d reported duplicate", k)
 		}
 	}
@@ -24,12 +20,11 @@ func TestBTreeInsertSearch(t *testing.T) {
 		t.Errorf("height = %d; expected >= 3 with order 8", bt.Height())
 	}
 	for k := int64(0); k < 1000; k++ {
-		rid, ok := bt.Search(nil, k)
-		if !ok || rid != ridFor(k) {
-			t.Fatalf("search %d = %+v,%v", k, rid, ok)
+		if !bt.Search(nil, k) {
+			t.Fatalf("search %d missed", k)
 		}
 	}
-	if _, ok := bt.Search(nil, 1000); ok {
+	if bt.Search(nil, 1000) {
 		t.Error("found absent key")
 	}
 	if msg := bt.CheckInvariants(); msg != "" {
@@ -44,13 +39,13 @@ func TestBTreeInsertDescendingAndRandom(t *testing.T) {
 	} {
 		bt := NewBTree(6)
 		for _, k := range keys {
-			bt.Insert(nil, k, ridFor(k))
+			bt.Insert(nil, k)
 		}
 		if msg := bt.CheckInvariants(); msg != "" {
 			t.Errorf("%s: invariant violation: %s", name, msg)
 		}
 		for _, k := range keys {
-			if _, ok := bt.Search(nil, k); !ok {
+			if !bt.Search(nil, k) {
 				t.Errorf("%s: key %d missing", name, k)
 			}
 		}
@@ -72,15 +67,16 @@ func shuffled(n int, seed int64) []int64 {
 	return ks
 }
 
+// TestBTreeDuplicateInsertReplaces: inserting a present key replaces it
+// with itself, reporting false and leaving the size unchanged.
 func TestBTreeDuplicateInsertReplaces(t *testing.T) {
 	bt := NewBTree(8)
-	bt.Insert(nil, 7, ridFor(7))
-	if bt.Insert(nil, 7, ridFor(8)) {
+	bt.Insert(nil, 7)
+	if bt.Insert(nil, 7) {
 		t.Error("duplicate insert reported as new")
 	}
-	rid, _ := bt.Search(nil, 7)
-	if rid != ridFor(8) {
-		t.Error("duplicate insert did not replace RID")
+	if !bt.Search(nil, 7) {
+		t.Error("duplicate insert lost the key")
 	}
 	if bt.Size() != 1 {
 		t.Errorf("size = %d, want 1", bt.Size())
@@ -90,7 +86,7 @@ func TestBTreeDuplicateInsertReplaces(t *testing.T) {
 func TestBTreeDelete(t *testing.T) {
 	bt := NewBTree(8)
 	for k := int64(0); k < 200; k++ {
-		bt.Insert(nil, k, ridFor(k))
+		bt.Insert(nil, k)
 	}
 	for k := int64(0); k < 200; k += 2 {
 		if !bt.Delete(nil, k) {
@@ -101,8 +97,7 @@ func TestBTreeDelete(t *testing.T) {
 		t.Error("double delete succeeded")
 	}
 	for k := int64(0); k < 200; k++ {
-		_, ok := bt.Search(nil, k)
-		if want := k%2 == 1; ok != want {
+		if ok, want := bt.Search(nil, k), k%2 == 1; ok != want {
 			t.Errorf("key %d present=%v, want %v", k, ok, want)
 		}
 	}
@@ -114,52 +109,27 @@ func TestBTreeDelete(t *testing.T) {
 	}
 }
 
-func TestBTreeRange(t *testing.T) {
-	bt := NewBTree(8)
-	for k := int64(0); k < 100; k += 2 { // even keys only
-		bt.Insert(nil, k, ridFor(k))
-	}
-	var got []int64
-	bt.Range(nil, 11, 31, func(k int64, _ RID) bool {
-		got = append(got, k)
-		return true
-	})
-	want := []int64{12, 14, 16, 18, 20, 22, 24, 26, 28, 30}
-	if len(got) != len(want) {
-		t.Fatalf("range = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("range = %v, want %v", got, want)
-		}
-	}
-	// Early stop.
-	n := 0
-	bt.Range(nil, 0, 99, func(int64, RID) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Errorf("early stop visited %d, want 3", n)
-	}
-}
-
 func TestBTreeBulkLoad(t *testing.T) {
 	bt := NewBTree(16)
-	keys := genKeys(10000, func(i int) int64 { return int64(i * 3) })
-	bt.BulkLoad(keys, ridFor, 0.9)
+	bt.BulkLoadRange(10000, 0.9)
 	if bt.Size() != 10000 {
 		t.Fatalf("size = %d", bt.Size())
 	}
 	if msg := bt.CheckInvariants(); msg != "" {
 		t.Fatalf("invariant violation after bulk load: %s", msg)
 	}
-	for _, k := range []int64{0, 3, 29997, 14999*2 + 1} {
-		_, ok := bt.Search(nil, k)
-		if want := k%3 == 0 && k <= 29997; ok != want {
+	// 14 keys per leaf (16 * 0.9), 15 children per inner node.
+	if bt.Height() != 4 {
+		t.Errorf("height = %d, want 4", bt.Height())
+	}
+	for _, k := range []int64{0, 13, 14, 9999, 10000, -1} {
+		if ok, want := bt.Search(nil, k), k >= 0 && k < 10000; ok != want {
 			t.Errorf("key %d present=%v want %v", k, ok, want)
 		}
 	}
 	// Insert after bulk load still works.
-	bt.Insert(nil, 1, ridFor(1))
-	if _, ok := bt.Search(nil, 1); !ok {
+	bt.Insert(nil, 10000)
+	if !bt.Search(nil, 10000) {
 		t.Error("insert after bulk load lost")
 	}
 	if msg := bt.CheckInvariants(); msg != "" {
@@ -169,36 +139,37 @@ func TestBTreeBulkLoad(t *testing.T) {
 
 func TestBTreeBulkLoadEmpty(t *testing.T) {
 	bt := NewBTree(16)
-	bt.BulkLoad(nil, ridFor, 0.9)
+	bt.BulkLoadRange(0, 0.9)
 	if bt.Size() != 0 || bt.Height() != 1 {
 		t.Error("empty bulk load wrong shape")
 	}
-	if _, ok := bt.Search(nil, 0); ok {
+	if bt.Search(nil, 0) {
 		t.Error("empty tree found a key")
 	}
 }
 
-// TestBTreeQuickProperty: random operation sequences preserve map semantics
-// and structural invariants.
+// TestBTreeQuickProperty: random operation sequences preserve set
+// semantics and structural invariants.
 func TestBTreeQuickProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		bt := NewBTree(5)
-		model := map[int64]RID{}
+		model := map[int64]bool{}
 		for op := 0; op < 500; op++ {
 			k := int64(rng.Intn(200))
 			switch rng.Intn(3) {
 			case 0:
-				rid := ridFor(int64(rng.Intn(1000)))
-				bt.Insert(nil, k, rid)
-				model[k] = rid
+				if bt.Insert(nil, k) == model[k] {
+					return false
+				}
+				model[k] = true
 			case 1:
+				if bt.Delete(nil, k) != model[k] {
+					return false
+				}
 				delete(model, k)
-				bt.Delete(nil, k)
 			case 2:
-				rid, ok := bt.Search(nil, k)
-				wantRID, wantOK := model[k]
-				if ok != wantOK || (ok && rid != wantRID) {
+				if bt.Search(nil, k) != model[k] {
 					return false
 				}
 			}

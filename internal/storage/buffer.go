@@ -129,10 +129,9 @@ func (bp *BufferPool) Unfix(ctx *exec.Ctx, p *Page, dirty bool) {
 	f.pins--
 }
 
-// evict selects a clock victim and removes it from the table atomically;
-// a dirty victim's image reaches the backing store before any virtual time
-// passes, so concurrent re-fetches always observe current contents. The
-// device write is charged afterwards.
+// evict selects a clock victim and removes it from the table atomically,
+// before any virtual time passes; a dirty victim's device write is charged
+// afterwards.
 func (bp *BufferPool) evict(ctx *exec.Ctx) {
 	for scanned := 0; scanned < 2*len(bp.ring)+2; scanned++ {
 		if len(bp.ring) == 0 {
@@ -149,18 +148,13 @@ func (bp *BufferPool) evict(ctx *exec.Ctx) {
 			bp.hand++
 			continue
 		}
-		// Victim found: unhook, persist image, then pay for the write.
+		// Victim found: unhook, then pay for the write.
 		bp.Evictions++
 		delete(bp.frames, f.page.ID)
 		bp.ring = append(bp.ring[:bp.hand], bp.ring[bp.hand+1:]...)
-		dirty := f.page.Dirty
-		if dirty {
+		if f.page.Dirty {
 			bp.DirtyWriteBacks++
-			bp.store.WriteBack(f.page)
 			f.page.Dirty = false
-		}
-		bp.store.Recycle(f.page)
-		if dirty {
 			prev := ctx.Bucket(exec.BIO)
 			bp.disk.Write(ctx)
 			ctx.Bucket(prev)
@@ -171,7 +165,7 @@ func (bp *BufferPool) evict(ctx *exec.Ctx) {
 }
 
 // Peek returns the cached page for id without pinning, charging, or
-// faulting it in; nil when not resident. Diagnostic use only.
+// faulting it in; nil when not resident.
 func (bp *BufferPool) Peek(id PageID) *Page {
 	if f, ok := bp.frames[id]; ok && !f.loading {
 		return f.page
@@ -202,8 +196,8 @@ func (bp *BufferPool) Prewarm(slack int) {
 	}
 }
 
-// FlushAll writes back every dirty page (used at orderly shutdown and in
-// recovery tests).
+// FlushAll charges one device write per dirty page and marks it clean
+// (orderly shutdown).
 func (bp *BufferPool) FlushAll(ctx *exec.Ctx) {
 	for _, f := range bp.ring {
 		if f.page.Dirty {
@@ -211,7 +205,6 @@ func (bp *BufferPool) FlushAll(ctx *exec.Ctx) {
 			prev := ctx.Bucket(exec.BIO)
 			bp.disk.Write(ctx)
 			ctx.Bucket(prev)
-			bp.store.WriteBack(f.page)
 			f.page.Dirty = false
 		}
 	}

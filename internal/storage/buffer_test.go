@@ -53,8 +53,7 @@ func TestBufferPoolEvictionWritesBackDirty(t *testing.T) {
 		store, bp, tab := newFixture(4)
 		// Dirty page 0.
 		p := bp.Fix(ctx, PageID{Table: tab.ID, No: 0})
-		row, _ := p.Get(0)
-		BumpRowVersion(row)
+		store.SetVersion(tab.ID, 0, 1)
 		bp.Unfix(ctx, p, true)
 		// Stream enough pages through to force page 0 out.
 		for no := int64(1); no <= 8; no++ {
@@ -64,16 +63,18 @@ func TestBufferPoolEvictionWritesBackDirty(t *testing.T) {
 		if bp.Evictions == 0 {
 			t.Fatal("no evictions at capacity 4")
 		}
-		if bp.DirtyWriteBacks == 0 || store.ImageCount() == 0 {
-			t.Fatal("dirty page evicted without write-back")
+		if bp.DirtyWriteBacks != 1 {
+			t.Fatalf("DirtyWriteBacks = %d, want 1 (only page 0 was dirtied)", bp.DirtyWriteBacks)
 		}
-		// Re-fix page 0: the update must have survived.
-		p = bp.Fix(ctx, PageID{Table: tab.ID, No: 0})
-		row, _ = p.Get(0)
-		if RowVersion(row) != 1 {
-			t.Errorf("row version = %d after eviction round-trip, want 1", RowVersion(row))
+		// Re-fix page 0: a fresh, clean frame, and the update survived.
+		q := bp.Fix(ctx, PageID{Table: tab.ID, No: 0})
+		if q == p || q.Dirty {
+			t.Error("re-fetched page reused the evicted frame or came back dirty")
 		}
-		bp.Unfix(ctx, p, false)
+		if v := store.Version(tab.ID, 0); v != 1 {
+			t.Errorf("row version = %d after eviction round-trip, want 1", v)
+		}
+		bp.Unfix(ctx, q, false)
 	})
 }
 
@@ -128,16 +129,19 @@ func TestBufferPoolMissChargesIO(t *testing.T) {
 
 func TestBufferPoolFlushAll(t *testing.T) {
 	withCtx(t, func(ctx *exec.Ctx) {
-		store, bp, tab := newFixture(8)
-		for no := int64(0); no < 3; no++ {
+		_, bp, tab := newFixture(8)
+		for no := int64(0); no < 4; no++ {
 			p := bp.Fix(ctx, PageID{Table: tab.ID, No: no})
-			row, _ := p.Get(0)
-			BumpRowVersion(row)
-			bp.Unfix(ctx, p, true)
+			bp.Unfix(ctx, p, no < 3)
 		}
 		bp.FlushAll(ctx)
-		if store.ImageCount() != 3 {
-			t.Errorf("ImageCount = %d after FlushAll, want 3", store.ImageCount())
+		if bp.DirtyWriteBacks != 3 {
+			t.Errorf("DirtyWriteBacks = %d after FlushAll, want 3", bp.DirtyWriteBacks)
+		}
+		for no := int64(0); no < 4; no++ {
+			if bp.Peek(PageID{Table: tab.ID, No: no}).Dirty {
+				t.Errorf("page %d still dirty after FlushAll", no)
+			}
 		}
 		if hr := bp.HitRate(); hr < 0 || hr > 1 {
 			t.Errorf("hit rate %v out of range", hr)
@@ -145,22 +149,22 @@ func TestBufferPoolFlushAll(t *testing.T) {
 	})
 }
 
+// TestPageStoreSynthesizeVsRestore: every fetch builds a fresh clean page;
+// rows never written read their initial version, written ones keep theirs.
 func TestPageStoreSynthesizeVsRestore(t *testing.T) {
 	store, _, tab := newFixture(2)
 	p := store.Fetch(PageID{Table: tab.ID, No: 5})
-	if store.Synthesized != 1 {
-		t.Error("expected synthesis on first fetch")
-	}
-	row, _ := p.Get(0)
-	BumpRowVersion(row)
-	store.WriteBack(p)
+	store.SetVersion(tab.ID, 5*32, 7)
+	p.Dirty = true
 	q := store.Fetch(PageID{Table: tab.ID, No: 5})
-	if store.Restored != 1 {
-		t.Error("expected restore after write-back")
+	if q == p || q.Dirty {
+		t.Error("fetch did not build a fresh clean page")
 	}
-	row2, _ := q.Get(0)
-	if RowVersion(row2) != 1 {
-		t.Error("restored page lost update")
+	if v := store.Version(tab.ID, 5*32); v != 7 {
+		t.Errorf("written row version = %d, want 7", v)
+	}
+	if v := store.Version(tab.ID, 5*32+1); v != 0 {
+		t.Errorf("untouched row version = %d, want 0", v)
 	}
 }
 

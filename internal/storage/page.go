@@ -1,11 +1,14 @@
-// Package storage implements the data substrate of the engine: slotted heap
-// pages, fixed-width virtual tables, a B+tree index, a buffer pool with
-// clock eviction, and virtual disks. It corresponds to the lower half of
-// Shore-MT in the paper's prototype.
+// Package storage implements the data substrate of the engine: fixed-width
+// virtual tables whose rows are placed by key, per-row version counters, a
+// B+tree key index, a buffer pool with clock eviction, and virtual disks. It
+// corresponds to the lower half of Shore-MT in the paper's prototype.
+//
+// Row bytes are not modelled. The simulator charges every access from
+// addresses and cache-line states in the memory model, so a row is its key,
+// its page (Table.Locate) and its version counter (PageStore.Version).
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"islands/internal/latch"
@@ -15,11 +18,12 @@ import (
 // PageSize is the size of a database page in bytes (Shore-MT default).
 const PageSize = 8192
 
-// pageHeaderSize is the fixed header: nSlots(2) freeOff(2) pad(4) pageLSN(8).
-const pageHeaderSize = 16
-
-// slotSize is one slot directory entry: offset(2) length(2).
-const slotSize = 4
+// The modelled slotted-page layout: a fixed header and one slot directory
+// entry per row. They set how many rows share a page (Table.RowsPerPage).
+const (
+	pageHeaderSize = 16 // nSlots(2) freeOff(2) pad(4) pageLSN(8)
+	slotSize       = 4  // offset(2) length(2)
+)
 
 // TableID identifies a table within a deployment.
 type TableID int32
@@ -32,15 +36,8 @@ type PageID struct {
 
 func (p PageID) String() string { return fmt.Sprintf("t%d.p%d", p.Table, p.No) }
 
-// RID is a record identifier: page plus slot.
-type RID struct {
-	Page PageID
-	Slot uint16
-}
-
-// Page is a slotted page. Records grow from the header down; the slot
-// directory grows from the end up. A deleted slot has length 0 and may be
-// reused by a later insert of equal or smaller size.
+// Page is the buffer-pool frame of one page. It holds no row data: its rows'
+// versions live in the PageStore.
 //
 // HeaderLine is the coherence-tracked proxy for the page's hot metadata
 // (header word, latch word): every fix/latch of the page touches it, so
@@ -50,160 +47,4 @@ type Page struct {
 	HeaderLine mem.Line
 	Latch      latch.RW
 	Dirty      bool
-	PageLSN    uint64
-
-	data     []byte
-	holes    int  // deleted slots available for reuse
-	ownsData bool // buffer came from the store's arena (see PageStore.Recycle)
-}
-
-// NewPage returns an empty formatted page.
-func NewPage(id PageID) *Page {
-	return newPageWithData(id, make([]byte, PageSize))
-}
-
-// newPageWithData formats a page over a caller-provided (zeroed) buffer,
-// letting the store hand out arena-allocated buffers.
-func newPageWithData(id PageID, data []byte) *Page {
-	p := &Page{ID: id, data: data}
-	p.setFreeOff(pageHeaderSize)
-	return p
-}
-
-// LoadPage wraps an existing image (from the backing store) as a page.
-func LoadPage(id PageID, img []byte) *Page {
-	if len(img) != PageSize {
-		panic("storage: page image has wrong size")
-	}
-	p := &Page{ID: id, data: img}
-	for i := 0; i < p.nSlots(); i++ {
-		if _, length := p.slot(i); length == 0 {
-			p.holes++
-		}
-	}
-	return p
-}
-
-// Image returns a copy of the page bytes for the backing store.
-func (p *Page) Image() []byte {
-	img := make([]byte, PageSize)
-	copy(img, p.data)
-	return img
-}
-
-func (p *Page) nSlots() int      { return int(binary.LittleEndian.Uint16(p.data[0:2])) }
-func (p *Page) setNSlots(n int)  { binary.LittleEndian.PutUint16(p.data[0:2], uint16(n)) }
-func (p *Page) freeOff() int     { return int(binary.LittleEndian.Uint16(p.data[2:4])) }
-func (p *Page) setFreeOff(o int) { binary.LittleEndian.PutUint16(p.data[2:4], uint16(o)) }
-
-func (p *Page) slotPos(i int) int { return PageSize - (i+1)*slotSize }
-
-func (p *Page) slot(i int) (off, length int) {
-	pos := p.slotPos(i)
-	return int(binary.LittleEndian.Uint16(p.data[pos : pos+2])),
-		int(binary.LittleEndian.Uint16(p.data[pos+2 : pos+4]))
-}
-
-func (p *Page) setSlot(i, off, length int) {
-	pos := p.slotPos(i)
-	binary.LittleEndian.PutUint16(p.data[pos:pos+2], uint16(off))
-	binary.LittleEndian.PutUint16(p.data[pos+2:pos+4], uint16(length))
-}
-
-// NumSlots returns the number of slot directory entries (including deleted).
-func (p *Page) NumSlots() int { return p.nSlots() }
-
-// FreeSpace returns the bytes available for a new record plus its slot.
-func (p *Page) FreeSpace() int {
-	free := PageSize - p.nSlots()*slotSize - p.freeOff() - slotSize
-	if free < 0 {
-		return 0
-	}
-	return free
-}
-
-// Insert stores rec and returns its slot. ok is false when the page is full.
-// Records must be at least 2 bytes so deleted slots can remember their hole
-// capacity in place.
-func (p *Page) Insert(rec []byte) (slot uint16, ok bool) {
-	if len(rec) < 2 || len(rec) > PageSize {
-		return 0, false
-	}
-	// Reuse a deleted slot when the record fits in its hole; the hole's
-	// capacity is stored in its first two bytes (see Delete). The hole
-	// counter lets the common hole-free page skip the directory scan.
-	if p.holes > 0 {
-		for i := 0; i < p.nSlots(); i++ {
-			off, length := p.slot(i)
-			if length != 0 {
-				continue
-			}
-			capacity := int(binary.LittleEndian.Uint16(p.data[off : off+2]))
-			if capacity >= len(rec) {
-				p.setSlot(i, off, len(rec))
-				copy(p.data[off:off+len(rec)], rec)
-				p.holes--
-				p.Dirty = true
-				return uint16(i), true
-			}
-		}
-	}
-	off := p.freeOff()
-	if PageSize-p.nSlots()*slotSize-off < len(rec)+slotSize {
-		return 0, false
-	}
-	copy(p.data[off:off+len(rec)], rec)
-	n := p.nSlots()
-	p.setSlot(n, off, len(rec))
-	p.setNSlots(n + 1)
-	p.setFreeOff(off + len(rec))
-	p.Dirty = true
-	return uint16(n), true
-}
-
-// Get returns the record at slot. ok is false for out-of-range or deleted
-// slots. The returned slice aliases page memory: callers must copy if they
-// retain it.
-func (p *Page) Get(slot uint16) (rec []byte, ok bool) {
-	if int(slot) >= p.nSlots() {
-		return nil, false
-	}
-	off, length := p.slot(int(slot))
-	if length == 0 {
-		return nil, false
-	}
-	return p.data[off : off+length], true
-}
-
-// Update overwrites the record at slot in place. The new record must have
-// the same length (fixed-width tables); ok is false otherwise.
-func (p *Page) Update(slot uint16, rec []byte) bool {
-	if int(slot) >= p.nSlots() {
-		return false
-	}
-	off, length := p.slot(int(slot))
-	if length != len(rec) || length == 0 {
-		return false
-	}
-	copy(p.data[off:off+length], rec)
-	p.Dirty = true
-	return true
-}
-
-// Delete removes the record at slot, leaving a reusable hole.
-func (p *Page) Delete(slot uint16) bool {
-	if int(slot) >= p.nSlots() {
-		return false
-	}
-	off, length := p.slot(int(slot))
-	if length == 0 {
-		return false
-	}
-	// Remember the hole capacity in the hole itself, mark deleted with
-	// length 0 so Get refuses the slot but Insert can reuse the space.
-	binary.LittleEndian.PutUint16(p.data[off:off+2], uint16(length))
-	p.setSlot(int(slot), off, 0)
-	p.holes++
-	p.Dirty = true
-	return true
 }

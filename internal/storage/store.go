@@ -2,59 +2,25 @@ package storage
 
 import "sort"
 
-// PageStore is the backing store behind a buffer pool: it resolves a page
-// miss either from the images of previously evicted dirty pages or by
-// synthesizing the page's initial contents from its table definition.
+// PageStore is the backing store behind a buffer pool: the table
+// definitions and every row's version counter. Versions live here rather
+// than in a resident page, so they survive eviction and re-fetch without a
+// write-back image.
 type PageStore struct {
-	tables map[TableID]*Table
-	images map[PageID][]byte
-
-	// arena carves page buffers out of chunked allocations: synthesizing a
-	// partition touches thousands of pages, and allocating each 8 KB buffer
-	// separately made the allocator (not the simulation) the hot path.
-	// freeData recycles the buffers of evicted synthesized pages, so a hot
-	// page never pins a whole chunk of otherwise-dead neighbors.
-	arena    []byte
-	freeData [][]byte
-
-	Synthesized uint64
-	Restored    uint64
+	tables map[TableID]*storedTable
 }
 
-// arenaChunkPages is how many page buffers one arena chunk holds.
-const arenaChunkPages = 64
-
-func (s *PageStore) newPageData() []byte {
-	if n := len(s.freeData) - 1; n >= 0 {
-		d := s.freeData[n]
-		s.freeData[n] = nil
-		s.freeData = s.freeData[:n]
-		return d
-	}
-	if len(s.arena) < PageSize {
-		s.arena = make([]byte, arenaChunkPages*PageSize)
-	}
-	d := s.arena[:PageSize:PageSize]
-	s.arena = s.arena[PageSize:]
-	return d
-}
-
-// Recycle returns an evicted page's buffer to the store. Only pages whose
-// buffers the store itself handed out are reclaimed; restored pages alias
-// the retained image and must not be reused.
-func (s *PageStore) Recycle(p *Page) {
-	if !p.ownsData {
-		return
-	}
-	p.ownsData = false
-	clear(p.data) // newPageData hands out zeroed buffers, like make
-	s.freeData = append(s.freeData, p.data)
-	p.data = nil
+type storedTable struct {
+	def *Table
+	// versions[no][slot] is the version of the slot-th row of page no; a
+	// page's chunk stays nil until one of its rows gets a nonzero version,
+	// so rows that are only read or inserted allocate nothing.
+	versions [][]uint64
 }
 
 // NewPageStore returns an empty store.
 func NewPageStore() *PageStore {
-	return &PageStore{tables: make(map[TableID]*Table), images: make(map[PageID][]byte)}
+	return &PageStore{tables: make(map[TableID]*storedTable)}
 }
 
 // AddTable registers a table definition. It panics on duplicate IDs: table
@@ -63,50 +29,77 @@ func (s *PageStore) AddTable(t *Table) {
 	if _, dup := s.tables[t.ID]; dup {
 		panic("storage: duplicate table " + t.Name)
 	}
-	s.tables[t.ID] = t
+	s.tables[t.ID] = &storedTable{def: t}
 }
 
 // Table returns a registered table definition, or nil.
-func (s *PageStore) Table(id TableID) *Table { return s.tables[id] }
-
-// Tables returns the number of registered tables.
-func (s *PageStore) Tables() int { return len(s.tables) }
+func (s *PageStore) Table(id TableID) *Table {
+	if st := s.tables[id]; st != nil {
+		return st.def
+	}
+	return nil
+}
 
 // SortedTables returns table definitions in id order (deterministic
 // iteration for prewarming).
 func (s *PageStore) SortedTables() []*Table {
 	out := make([]*Table, 0, len(s.tables))
-	for _, t := range s.tables {
-		out = append(out, t)
+	for _, st := range s.tables {
+		out = append(out, st.def)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// Fetch materializes the current contents of page id.
+// Fetch builds a fresh frame for page id: every miss gets new header-line
+// and latch state, as a page read from disk into a new frame would.
 func (s *PageStore) Fetch(id PageID) *Page {
-	if img, ok := s.images[id]; ok {
-		s.Restored++
-		return LoadPage(id, img)
-	}
-	t := s.tables[id.Table]
+	t := s.Table(id.Table)
 	if t == nil {
 		panic("storage: fetch of page for unknown table")
 	}
 	if id.No < 0 || id.No >= t.NumPages() {
 		panic("storage: fetch of page beyond table end")
 	}
-	s.Synthesized++
-	p := newPageWithData(id, s.newPageData())
-	p.ownsData = true
-	t.fillPage(p, id.No)
-	return p
+	return &Page{ID: id}
 }
 
-// WriteBack persists the image of a dirty page being evicted.
-func (s *PageStore) WriteBack(p *Page) {
-	s.images[p.ID] = p.Image()
+// Version returns the version counter of row key (0 until first set).
+func (s *PageStore) Version(table TableID, key int64) uint64 {
+	st := s.tables[table]
+	per := st.def.RowsPerPage()
+	if no := key / per; no < int64(len(st.versions)) && st.versions[no] != nil {
+		return st.versions[no][key%per]
+	}
+	return 0
 }
 
-// ImageCount returns how many dirty-evicted page images are retained.
-func (s *PageStore) ImageCount() int { return len(s.images) }
+// SetVersion sets the version counter of row key.
+func (s *PageStore) SetVersion(table TableID, key int64, v uint64) {
+	st := s.tables[table]
+	per := st.def.RowsPerPage()
+	no := key / per
+	if v == 0 && (no >= int64(len(st.versions)) || st.versions[no] == nil) {
+		return
+	}
+	for int64(len(st.versions)) <= no {
+		st.versions = append(st.versions, nil)
+	}
+	if st.versions[no] == nil {
+		st.versions[no] = make([]uint64, per)
+	}
+	st.versions[no][key%per] = v
+}
+
+// SumVersions returns the sum of every row's version counter.
+func (s *PageStore) SumVersions() uint64 {
+	var sum uint64
+	for _, st := range s.tables {
+		for _, chunk := range st.versions {
+			for _, v := range chunk {
+				sum += v
+			}
+		}
+	}
+	return sum
+}

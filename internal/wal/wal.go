@@ -43,31 +43,26 @@ var recTypeNames = map[RecType]string{
 
 func (t RecType) String() string { return recTypeNames[t] }
 
-// Record is a log record. Before/After images are retained only when the
-// manager's Retain option is set (recovery tests). WireBytes, when non-zero,
-// overrides the logged payload size: physiological logging writes a small
-// diff (e.g. a counter update) rather than full images, and the paper's
-// update microbenchmark modifies only a few bytes per row.
+// Record is a log record. Records are kept only when the manager's Retain
+// option is set (recovery). Version is the row's version after an update or
+// insert, which redo assigns. WireBytes is the logged payload size:
+// physiological logging writes a small diff for an update (the paper's
+// update microbenchmark modifies only a few bytes per row) and the whole
+// row for an insert.
 type Record struct {
 	LSN       LSN
 	Type      RecType
 	Txn       uint64
 	Table     storage.TableID
 	Key       int64
-	Before    []byte
-	After     []byte
+	Version   uint64
 	WireBytes int
 }
 
 const recHeaderBytes = 40
 
 // Size returns the encoded size of the record in log bytes.
-func (r *Record) Size() int {
-	if r.WireBytes > 0 {
-		return recHeaderBytes + r.WireBytes
-	}
-	return recHeaderBytes + len(r.Before) + len(r.After)
-}
+func (r *Record) Size() int { return recHeaderBytes + r.WireBytes }
 
 // Cost constants for log operations.
 const (
@@ -91,7 +86,7 @@ type Options struct {
 	// insertion mutex is bypassed and contention on the head line is
 	// amortized across simultaneous inserters.
 	Consolidate bool
-	// Retain keeps full records in memory for recovery tests.
+	// Retain keeps every record in memory for recovery.
 	Retain bool
 }
 
@@ -184,14 +179,6 @@ func (m *Manager) Records() []Record { return m.records }
 func (m *Manager) Append(ctx *exec.Ctx, rec Record) LSN {
 	prev := ctx.Bucket(exec.BLog)
 	defer ctx.Bucket(prev)
-
-	if m.opts.Retain {
-		// Deep-copy the images before any virtual time can pass: callers
-		// pass arena- or page-backed slices that concurrent workers may
-		// overwrite while this append blocks on the insertion mutex.
-		rec.Before = append([]byte(nil), rec.Before...)
-		rec.After = append([]byte(nil), rec.After...)
-	}
 
 	if !m.opts.Consolidate {
 		ctx.LockSim(&m.mu)
