@@ -24,6 +24,11 @@ const (
 // Deletion is lazy (keys are removed from leaves without rebalancing),
 // matching the common production choice; structure invariants still hold
 // and are verified by CheckInvariants in tests.
+//
+// Leaves built by BulkLoadRange are dense: they hold a run of consecutive
+// keys implicitly, and store them only once an Insert or Delete reaches
+// them. A loaded table therefore costs its node lines, not its keys, while
+// every traversal touches the same nodes it would in an explicit tree.
 type BTree struct {
 	order  int
 	root   *bnode
@@ -36,6 +41,31 @@ type bnode struct {
 	leaf     bool
 	keys     []int64
 	children []*bnode // inner nodes
+	// A dense leaf (dense > 0) holds the keys [lo, lo+dense) and no keys
+	// slice until materialize stores them.
+	lo, dense int64
+}
+
+// has reports whether leaf n holds key.
+func (n *bnode) has(key int64) bool {
+	if n.dense > 0 {
+		return key >= n.lo && key < n.lo+n.dense
+	}
+	i := lowerBound(n.keys, key)
+	return i < len(n.keys) && n.keys[i] == key
+}
+
+// materialize stores a dense leaf's keys explicitly, so it can be written;
+// the slice has room for the one key an insert adds before it splits.
+func (n *bnode) materialize(order int) {
+	if n.dense == 0 {
+		return
+	}
+	n.keys = make([]int64, n.dense, order+1)
+	for j := range n.keys {
+		n.keys[j] = n.lo + int64(j)
+	}
+	n.lo, n.dense = 0, 0
 }
 
 // NewBTree returns an empty tree with the given order (max keys per node);
@@ -75,8 +105,7 @@ func (t *BTree) Search(ctx *exec.Ctx, key int64) bool {
 		n = n.children[childIndex(n.keys, key)]
 	}
 	t.touch(ctx, n, false)
-	i := lowerBound(n.keys, key)
-	return i < len(n.keys) && n.keys[i] == key
+	return n.has(key)
 }
 
 // lowerBound returns the first index whose key is >= key. Hand-rolled
@@ -130,6 +159,7 @@ func (t *BTree) Insert(ctx *exec.Ctx, key int64) bool {
 func (t *BTree) insert(ctx *exec.Ctx, n *bnode, key int64) (promoted int64, right *bnode, added bool) {
 	if n.leaf {
 		t.touch(ctx, n, true)
+		n.materialize(t.order)
 		i := lowerBound(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
 			return 0, nil, false
@@ -182,6 +212,7 @@ func (t *BTree) Delete(ctx *exec.Ctx, key int64) bool {
 		n = n.children[childIndex(n.keys, key)]
 	}
 	t.touch(ctx, n, true)
+	n.materialize(t.order)
 	i := lowerBound(n.keys, key)
 	if i >= len(n.keys) || n.keys[i] != key {
 		return false
@@ -193,7 +224,9 @@ func (t *BTree) Delete(ctx *exec.Ctx, key int64) bool {
 
 // BulkLoadRange builds the tree over the dense key range [0, n) with the
 // given leaf fill fraction (0 < fill <= 1, e.g. 0.9), replacing its
-// contents: the fast path for loading a freshly partitioned table.
+// contents: the fast path for loading a freshly partitioned table. Its
+// leaves are dense, and each level is allocated as one slab, so loading
+// makes O(height) allocations whatever n is.
 func (t *BTree) BulkLoadRange(n int64, fill float64) {
 	if fill <= 0 || fill > 1 {
 		fill = 0.9
@@ -203,59 +236,83 @@ func (t *BTree) BulkLoadRange(n int64, fill float64) {
 		per = 1
 	}
 	t.size = int(n)
+	t.height = 1
 	if n == 0 {
 		t.root = &bnode{leaf: true}
-		t.height = 1
 		return
 	}
-	// Build leaves with exactly-sized slices.
-	level := make([]*bnode, 0, (n+per-1)/per)
-	for i := int64(0); i < n; i += per {
-		leaf := &bnode{leaf: true, keys: make([]int64, min(per, n-i))}
-		for j := range leaf.keys {
-			leaf.keys[j] = i + int64(j)
-		}
-		level = append(level, leaf)
+	level := make([]bnode, (n+per-1)/per)
+	for i := range level {
+		lo := int64(i) * per
+		level[i] = bnode{leaf: true, lo: lo, dense: min(per, n-lo)}
 	}
-	// Build inner levels.
-	t.height = 1
+	// Each parent slices its children and separators out of one slab per
+	// level. The slices are capped, so a later insert's append reallocates
+	// instead of overwriting the neighbouring parent's entries.
 	fan := int(per) + 1
 	for len(level) > 1 {
-		parents := make([]*bnode, 0, (len(level)+fan-1)/fan)
-		for i := 0; i < len(level); i += fan {
+		kids := make([]*bnode, len(level))
+		for i := range level {
+			kids[i] = &level[i]
+		}
+		parents := make([]bnode, (len(level)+fan-1)/fan)
+		seps := make([]int64, len(level)-len(parents))
+		for p := range parents {
+			i := p * fan
 			end := min(i+fan, len(level))
-			parent := &bnode{
-				children: make([]*bnode, end-i),
-				keys:     make([]int64, end-i-1),
+			keys := seps[i-p : end-p-1 : end-p-1]
+			for j, c := range kids[i+1 : end] {
+				keys[j] = leftmostKey(c)
 			}
-			copy(parent.children, level[i:end])
-			for j, c := range level[i+1 : end] {
-				parent.keys[j] = leftmostKey(c)
-			}
-			parents = append(parents, parent)
+			parents[p] = bnode{children: kids[i:end:end], keys: keys}
 		}
 		level = parents
 		t.height++
 	}
-	t.root = level[0]
+	t.root = &level[0]
 }
 
 func leftmostKey(n *bnode) int64 {
 	for !n.leaf {
 		n = n.children[0]
 	}
+	if n.dense > 0 {
+		return n.lo
+	}
 	return n.keys[0]
 }
 
 // CheckInvariants verifies structural invariants: sorted keys, uniform leaf
 // depth, separator correctness, child counts, key order across leaves, and
-// the key count. It returns a description of the first violation, or "".
+// the key count. Dense leaves are checked by their range, without
+// materializing them. It returns a description of the first violation, or
+// "".
 func (t *BTree) CheckInvariants() string {
 	depths := map[int]bool{}
 	var prevLeafMax *int64
 	count := 0
 	var walk func(n *bnode, depth int, lo, hi *int64) string
 	walk = func(n *bnode, depth int, lo, hi *int64) string {
+		if n.dense > 0 {
+			first, last := n.lo, n.lo+n.dense-1
+			switch {
+			case !n.leaf || n.keys != nil:
+				return "dense node is not a keyless leaf"
+			case lo != nil && first < *lo:
+				return "key below subtree bound"
+			case hi != nil && last >= *hi:
+				return "key above subtree bound"
+			case prevLeafMax != nil && first <= *prevLeafMax:
+				return "leaves out of order"
+			}
+			depths[depth] = true
+			if len(depths) > 1 {
+				return "leaves at different depths"
+			}
+			prevLeafMax = &last
+			count += int(n.dense)
+			return ""
+		}
 		for i := 1; i < len(n.keys); i++ {
 			if n.keys[i-1] >= n.keys[i] {
 				return "keys out of order"

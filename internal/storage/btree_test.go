@@ -2,8 +2,14 @@ package storage
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"islands/internal/exec"
+	"islands/internal/mem"
+	"islands/internal/sim"
+	"islands/internal/topology"
 )
 
 func TestBTreeInsertSearch(t *testing.T) {
@@ -149,37 +155,174 @@ func TestBTreeBulkLoadEmpty(t *testing.T) {
 }
 
 // TestBTreeQuickProperty: random operation sequences preserve set
-// semantics and structural invariants.
+// semantics and structural invariants, from an empty tree and from a
+// bulk-loaded one, whose dense leaves materialize under deletes and split
+// under inserts at both ends of the loaded range.
 func TestBTreeQuickProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		bt := NewBTree(5)
-		model := map[int64]bool{}
-		for op := 0; op < 500; op++ {
-			k := int64(rng.Intn(200))
-			switch rng.Intn(3) {
-			case 0:
-				if bt.Insert(nil, k) == model[k] {
-					return false
-				}
+	for _, loaded := range []int64{0, 150} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			bt := NewBTree(5)
+			bt.BulkLoadRange(loaded, 0.9)
+			model := map[int64]bool{}
+			for k := int64(0); k < loaded; k++ {
 				model[k] = true
-			case 1:
-				if bt.Delete(nil, k) != model[k] {
-					return false
+			}
+			for op := 0; op < 500; op++ {
+				k := int64(rng.Intn(250)) - 50
+				switch rng.Intn(3) {
+				case 0:
+					if bt.Insert(nil, k) == model[k] {
+						return false
+					}
+					model[k] = true
+				case 1:
+					if bt.Delete(nil, k) != model[k] {
+						return false
+					}
+					delete(model, k)
+				case 2:
+					if bt.Search(nil, k) != model[k] {
+						return false
+					}
 				}
-				delete(model, k)
-			case 2:
-				if bt.Search(nil, k) != model[k] {
+				if op%50 == 0 && bt.CheckInvariants() != "" {
 					return false
 				}
 			}
+			if bt.Size() != len(model) {
+				return false
+			}
+			return bt.CheckInvariants() == ""
 		}
-		if bt.Size() != len(model) {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Errorf("bulk-loaded %d keys: %v", loaded, err)
 		}
-		return bt.CheckInvariants() == ""
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
+}
+
+// TestBTreeCheckInvariantsSeesDenseLeaves: CheckInvariants reads a dense
+// leaf's range, so a corrupted range is reported without materializing.
+func TestBTreeCheckInvariantsSeesDenseLeaves(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tamper func(leaves []*bnode)
+		want   string
+	}{
+		{"below bound", func(l []*bnode) { l[3].lo -= 2; l[3].dense += 2 }, "key below subtree bound"},
+		{"above bound", func(l []*bnode) { l[3].dense++ }, "key above subtree bound"},
+		{"count", func(l []*bnode) { l[len(l)-1].dense++ }, "leaf key count disagrees with size"},
+		{"keys beside range", func(l []*bnode) { l[3].keys = []int64{l[3].lo} }, "dense node is not a keyless leaf"},
+	} {
+		bt := NewBTree(8)
+		bt.BulkLoadRange(500, 0.9)
+		var leaves []*bnode
+		var walk func(n *bnode)
+		walk = func(n *bnode) {
+			if n.leaf {
+				leaves = append(leaves, n)
+			}
+			for _, c := range n.children {
+				walk(c)
+			}
+		}
+		walk(bt.root)
+		tc.tamper(leaves)
+		if got := bt.CheckInvariants(); got != tc.want {
+			t.Errorf("%s: CheckInvariants = %q, want %q", tc.name, got, tc.want)
+		}
+		for _, l := range leaves {
+			if l.dense == 0 {
+				t.Fatalf("%s: CheckInvariants materialized a leaf", tc.name)
+			}
+		}
+	}
+}
+
+// materializeAll stores every dense leaf's keys explicitly.
+func materializeAll(t *BTree) {
+	var walk func(n *bnode)
+	walk = func(n *bnode) {
+		n.materialize(t.order)
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(t.root)
+}
+
+// TestBTreeDenseLeavesChargeLikeExplicit: the same operations on a
+// bulk-loaded tree and on a copy whose leaves were all materialized first
+// charge the same virtual time, memory accesses and breakdown, and answer
+// the same.
+func TestBTreeDenseLeavesChargeLikeExplicit(t *testing.T) {
+	type outcome struct {
+		now     sim.Time
+		stats   mem.Stats
+		bd      exec.Breakdown
+		answers []bool
+	}
+	run := func(materialized bool) outcome {
+		bt := NewBTree(8)
+		bt.BulkLoadRange(5000, 0.9)
+		if materialized {
+			materializeAll(bt)
+		}
+		var out outcome
+		k := sim.NewKernel()
+		defer k.Close()
+		model := mem.NewModel(topology.QuadSocket())
+		k.Spawn("ops", func(p *sim.Proc) {
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; i < 2000; i++ {
+				ctx := exec.New(p, topology.CoreID(rng.Intn(model.Topo.NumCores())), model, nil)
+				ctx.BD = &out.bd
+				key := int64(rng.Intn(5200)) - 100
+				var ok bool
+				switch rng.Intn(4) {
+				case 0:
+					ok = bt.Insert(ctx, key)
+				case 1:
+					ok = bt.Delete(ctx, key)
+				default:
+					ok = bt.Search(ctx, key)
+				}
+				out.answers = append(out.answers, ok)
+			}
+			out.now = p.Now()
+		})
+		k.Run()
+		out.stats = model.TotalStats(nil)
+		if msg := bt.CheckInvariants(); msg != "" {
+			t.Errorf("materialized=%v: invariant violation: %s", materialized, msg)
+		}
+		return out
+	}
+	dense, explicit := run(false), run(true)
+	if dense.now != explicit.now || dense.stats != explicit.stats || dense.bd != explicit.bd {
+		t.Errorf("dense leaves charged differently: now %v vs %v, stats %+v vs %+v",
+			dense.now, explicit.now, dense.stats, explicit.stats)
+	}
+	if !reflect.DeepEqual(dense.answers, explicit.answers) {
+		t.Error("dense and materialized trees answered differently")
+	}
+}
+
+// TestBTreeBulkLoadAllocations: a search of an untouched bulk-loaded tree
+// allocates nothing, and loading allocates per level, not per node.
+func TestBTreeBulkLoadAllocations(t *testing.T) {
+	bt := NewBTree(16)
+	const n = 100000
+	bt.BulkLoadRange(n, 0.9)
+	key := int64(0)
+	if a := testing.AllocsPerRun(100, func() {
+		bt.Search(nil, key)
+		key = (key + 7919) % n
+	}); a != 0 {
+		t.Errorf("Search allocated %v times per run, want 0", a)
+	}
+	maxAllocs := float64(3*bt.Height() + 1) // a leaf slab, then three slabs per inner level
+	if a := testing.AllocsPerRun(10, func() { bt.BulkLoadRange(n, 0.9) }); a > maxAllocs {
+		t.Errorf("BulkLoadRange(%d) allocated %v times, want <= %v for height %d", n, a, maxAllocs, bt.Height())
 	}
 }

@@ -28,8 +28,14 @@ type BufferPool struct {
 	capacity int
 
 	frames map[PageID]*frame
-	ring   []*frame
-	hand   int
+	// ring is the sentinel of the clock's circular list, which holds the
+	// resident frames in the order they were added. hand is the frame the
+	// clock inspects next, or the sentinel when it has run past the newest
+	// frame: the next frame added then takes the hand.
+	ring frame
+	hand *frame
+	// free holds evicted frames, linked through next, for the next miss.
+	free *frame
 
 	bucketLines [bucketLineCount]mem.Line
 
@@ -37,11 +43,12 @@ type BufferPool struct {
 }
 
 type frame struct {
-	page    *Page
-	pins    int
-	ref     bool
-	loading bool
-	waiters []*sim.Proc
+	page       *Page
+	pins       int
+	ref        bool
+	loading    bool
+	waiters    []*sim.Proc
+	prev, next *frame
 }
 
 // NewBufferPool builds a pool of `capacity` pages over store, performing
@@ -50,12 +57,37 @@ func NewBufferPool(store *PageStore, disk *Disk, capacity int) *BufferPool {
 	if capacity < 1 {
 		panic("storage: buffer pool capacity must be >= 1")
 	}
-	return &BufferPool{
+	bp := &BufferPool{
 		store:    store,
 		disk:     disk,
 		capacity: capacity,
 		frames:   make(map[PageID]*frame, capacity),
 	}
+	bp.ring.prev, bp.ring.next = &bp.ring, &bp.ring
+	bp.hand = &bp.ring
+	return bp
+}
+
+// add makes f resident as page id, appending it to the clock ring.
+func (bp *BufferPool) add(id PageID, f *frame) {
+	bp.frames[id] = f
+	f.prev, f.next = bp.ring.prev, &bp.ring
+	f.prev.next, bp.ring.prev = f, f
+	if bp.hand == &bp.ring {
+		bp.hand = f
+	}
+}
+
+// newFrame returns a recycled frame, or a new one when none is free. A
+// recycled frame keeps its Page object, which fetch resets.
+func (bp *BufferPool) newFrame() *frame {
+	f := bp.free
+	if f == nil {
+		return &frame{}
+	}
+	bp.free = f.next
+	f.next = nil
+	return f
 }
 
 // Capacity returns the pool size in pages.
@@ -96,9 +128,9 @@ func (bp *BufferPool) Fix(ctx *exec.Ctx, id PageID) *Page {
 	}
 	bp.Misses++
 	// Reserve the frame before any time passes.
-	f := &frame{pins: 1, ref: true, loading: true}
-	bp.frames[id] = f
-	bp.ring = append(bp.ring, f)
+	f := bp.newFrame()
+	f.pins, f.ref, f.loading = 1, true, true
+	bp.add(id, f)
 	if len(bp.frames) > bp.capacity {
 		bp.evict(ctx)
 	}
@@ -107,7 +139,7 @@ func (bp *BufferPool) Fix(ctx *exec.Ctx, id PageID) *Page {
 	prev := ctx.Bucket(exec.BIO)
 	bp.disk.Read(ctx)
 	ctx.Bucket(prev)
-	f.page = bp.store.Fetch(id)
+	f.page = bp.store.fetch(id, f.page)
 	f.loading = false
 	for _, w := range f.waiters {
 		w.Unpark()
@@ -131,27 +163,33 @@ func (bp *BufferPool) Unfix(ctx *exec.Ctx, p *Page, dirty bool) {
 
 // evict selects a clock victim and removes it from the table atomically,
 // before any virtual time passes; a dirty victim's device write is charged
-// afterwards.
+// afterwards. The victim's frame is freed for reuse.
 func (bp *BufferPool) evict(ctx *exec.Ctx) {
-	for scanned := 0; scanned < 2*len(bp.ring)+2; scanned++ {
-		if len(bp.ring) == 0 {
+	n := len(bp.frames) // every resident frame is on the ring
+	for scanned := 0; scanned < 2*n+2; scanned++ {
+		if n == 0 {
 			break
 		}
-		bp.hand %= len(bp.ring)
-		f := bp.ring[bp.hand]
+		if bp.hand == &bp.ring {
+			bp.hand = bp.ring.next
+		}
+		f := bp.hand
 		if f.pins > 0 || f.loading {
-			bp.hand++
+			bp.hand = f.next
 			continue
 		}
 		if f.ref {
 			f.ref = false
-			bp.hand++
+			bp.hand = f.next
 			continue
 		}
 		// Victim found: unhook, then pay for the write.
 		bp.Evictions++
 		delete(bp.frames, f.page.ID)
-		bp.ring = append(bp.ring[:bp.hand], bp.ring[bp.hand+1:]...)
+		bp.hand = f.next
+		f.prev.next, f.next.prev = f.next, f.prev
+		f.prev, f.next = nil, bp.free
+		bp.free = f
 		if f.page.Dirty {
 			bp.DirtyWriteBacks++
 			f.page.Dirty = false
@@ -161,7 +199,7 @@ func (bp *BufferPool) evict(ctx *exec.Ctx) {
 		}
 		return
 	}
-	panic(fmt.Sprintf("storage: buffer pool thrashing: all %d pages pinned", len(bp.ring)))
+	panic(fmt.Sprintf("storage: buffer pool thrashing: all %d pages pinned", n))
 }
 
 // Peek returns the cached page for id without pinning, charging, or
@@ -188,9 +226,7 @@ func (bp *BufferPool) Prewarm(slack int) {
 			if _, ok := bp.frames[id]; ok {
 				continue
 			}
-			f := &frame{page: bp.store.Fetch(id)}
-			bp.frames[id] = f
-			bp.ring = append(bp.ring, f)
+			bp.add(id, &frame{page: bp.store.fetch(id, nil)})
 			budget--
 		}
 	}
@@ -199,7 +235,7 @@ func (bp *BufferPool) Prewarm(slack int) {
 // FlushAll charges one device write per dirty page and marks it clean
 // (orderly shutdown).
 func (bp *BufferPool) FlushAll(ctx *exec.Ctx) {
-	for _, f := range bp.ring {
+	for f := bp.ring.next; f != &bp.ring; f = f.next {
 		if f.page.Dirty {
 			bp.DirtyWriteBacks++
 			prev := ctx.Bucket(exec.BIO)

@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"islands/internal/exec"
+	"islands/internal/latch"
 	"islands/internal/mem"
 	"islands/internal/sim"
 	"islands/internal/topology"
@@ -66,16 +69,157 @@ func TestBufferPoolEvictionWritesBackDirty(t *testing.T) {
 		if bp.DirtyWriteBacks != 1 {
 			t.Fatalf("DirtyWriteBacks = %d, want 1 (only page 0 was dirtied)", bp.DirtyWriteBacks)
 		}
-		// Re-fix page 0: a fresh, clean frame, and the update survived.
+		// Re-fix page 0: a fresh, clean page, and the update survived.
 		q := bp.Fix(ctx, PageID{Table: tab.ID, No: 0})
-		if q == p || q.Dirty {
-			t.Error("re-fetched page reused the evicted frame or came back dirty")
+		if q.Dirty {
+			t.Error("re-fetched page came back dirty")
 		}
 		if v := store.Version(tab.ID, 0); v != 1 {
 			t.Errorf("row version = %d after eviction round-trip, want 1", v)
 		}
 		bp.Unfix(ctx, q, false)
 	})
+}
+
+// TestBufferPoolRecycledFrameStartsFresh: a miss served from an evicted
+// frame gets its Page object back with the new identity, an untouched
+// header line, an idle latch with zero counters, and a clean dirty bit.
+func TestBufferPoolRecycledFrameStartsFresh(t *testing.T) {
+	withCtx(t, func(ctx *exec.Ctx) {
+		_, bp, tab := newFixture(4)
+		used := map[*Page]bool{}
+		for no := int64(0); no < 8; no++ {
+			p := bp.Fix(ctx, PageID{Table: tab.ID, No: no})
+			used[p] = true
+			p.Latch.AcquireExclusive(ctx)
+			ctx.WriteLine(&p.HeaderLine)
+			p.Latch.ReleaseExclusive(ctx)
+			bp.Unfix(ctx, p, true)
+		}
+		if len(used) != 8-3 {
+			t.Errorf("8 misses at capacity 4 used %d Page objects, want 5 (4 resident + 1 free)", len(used))
+		}
+		id := PageID{Table: tab.ID, No: 0}
+		q := bp.Fix(ctx, id)
+		defer bp.Unfix(ctx, q, false)
+		if !used[q] {
+			t.Fatal("miss after evictions did not reuse a freed frame")
+		}
+		if q.ID != id || q.Dirty {
+			t.Errorf("recycled page: ID %v dirty %v, want %v clean", q.ID, q.Dirty, id)
+		}
+		if q.HeaderLine != (mem.Line{}) {
+			t.Error("recycled page kept its previous header-line state")
+		}
+		if !reflect.DeepEqual(q.Latch, latch.RW{}) {
+			t.Errorf("recycled page kept latch state: %+v", q.Latch)
+		}
+	})
+}
+
+// refClock is the clock the buffer pool used before its ring became a
+// linked list: a slice, a hand index, and an O(pool) copy to remove the
+// victim. TestBufferPoolClockMatchesSliceClock replays against it.
+type refClock struct {
+	ring []*refFrame
+	hand int
+	byID map[PageID]*refFrame
+}
+
+type refFrame struct {
+	id   PageID
+	pins int
+	ref  bool
+}
+
+func (c *refClock) add(f *refFrame) {
+	c.byID[f.id] = f
+	c.ring = append(c.ring, f)
+}
+
+func (c *refClock) fix(id PageID, capacity int) {
+	if f := c.byID[id]; f != nil {
+		f.pins++
+		f.ref = true
+		return
+	}
+	c.add(&refFrame{id: id, pins: 1, ref: true})
+	if len(c.ring) <= capacity {
+		return
+	}
+	for scanned := 0; scanned < 2*len(c.ring)+2; scanned++ {
+		c.hand %= len(c.ring)
+		f := c.ring[c.hand]
+		if f.pins > 0 {
+			c.hand++
+			continue
+		}
+		if f.ref {
+			f.ref = false
+			c.hand++
+			continue
+		}
+		delete(c.byID, f.id)
+		c.ring = append(c.ring[:c.hand], c.ring[c.hand+1:]...)
+		return
+	}
+	panic("reference clock thrashing")
+}
+
+// TestBufferPoolClockMatchesSliceClock: random fix/unfix sequences, after a
+// random prewarm, leave the pool's ring order, hand position and resident
+// set exactly where the slice clock leaves them, so the victim sequence is
+// unchanged.
+func TestBufferPoolClockMatchesSliceClock(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		withCtx(t, func(ctx *exec.Ctx) {
+			rng := rand.New(rand.NewSource(seed))
+			capacity := 2 + rng.Intn(12)
+			_, bp, tab := newFixture(capacity)
+			slack := rng.Intn(capacity + 1)
+			bp.Prewarm(slack)
+			ref := &refClock{byID: map[PageID]*refFrame{}}
+			for no := int64(0); no < int64(capacity-slack); no++ {
+				ref.add(&refFrame{id: PageID{Table: tab.ID, No: no}})
+			}
+			var pinned []*Page
+			for op := 0; op < 600; op++ {
+				if len(pinned) > 0 && (len(pinned) >= capacity-1 || rng.Intn(2) == 0) {
+					i := rng.Intn(len(pinned))
+					p := pinned[i]
+					pinned = append(pinned[:i], pinned[i+1:]...)
+					bp.Unfix(ctx, p, rng.Intn(3) == 0)
+					ref.byID[p.ID].pins--
+				} else {
+					id := PageID{Table: tab.ID, No: int64(rng.Intn(3 * capacity))}
+					pinned = append(pinned, bp.Fix(ctx, id))
+					ref.fix(id, capacity)
+				}
+				var order []PageID
+				hand := -1
+				for f := bp.ring.next; f != &bp.ring; f = f.next {
+					if f == bp.hand {
+						hand = len(order)
+					}
+					order = append(order, f.page.ID)
+				}
+				if bp.hand == &bp.ring {
+					hand = len(order)
+				}
+				var want []PageID
+				for _, f := range ref.ring {
+					want = append(want, f.id)
+				}
+				if !reflect.DeepEqual(order, want) || hand != ref.hand || len(bp.frames) != len(want) {
+					t.Fatalf("seed %d op %d: ring %v hand %d, slice clock %v hand %d",
+						seed, op, order, hand, want, ref.hand)
+				}
+			}
+			for _, p := range pinned {
+				bp.Unfix(ctx, p, false)
+			}
+		})
+	}
 }
 
 func TestBufferPoolRespectsPins(t *testing.T) {
@@ -153,10 +297,10 @@ func TestBufferPoolFlushAll(t *testing.T) {
 // rows never written read their initial version, written ones keep theirs.
 func TestPageStoreSynthesizeVsRestore(t *testing.T) {
 	store, _, tab := newFixture(2)
-	p := store.Fetch(PageID{Table: tab.ID, No: 5})
+	p := store.fetch(PageID{Table: tab.ID, No: 5}, nil)
 	store.SetVersion(tab.ID, 5*32, 7)
 	p.Dirty = true
-	q := store.Fetch(PageID{Table: tab.ID, No: 5})
+	q := store.fetch(PageID{Table: tab.ID, No: 5}, nil)
 	if q == p || q.Dirty {
 		t.Error("fetch did not build a fresh clean page")
 	}
@@ -165,6 +309,12 @@ func TestPageStoreSynthesizeVsRestore(t *testing.T) {
 	}
 	if v := store.Version(tab.ID, 5*32+1); v != 0 {
 		t.Errorf("untouched row version = %d, want 0", v)
+	}
+	// Fetching into a recycled page resets it in place.
+	q.Dirty = true
+	q.Latch.Acquires = 3
+	if r := store.fetch(PageID{Table: tab.ID, No: 6}, q); r != q || r.ID.No != 6 || r.Dirty || r.Latch.Acquires != 0 {
+		t.Errorf("fetch into a recycled page did not reset it: %+v", r)
 	}
 }
 
@@ -175,7 +325,7 @@ func TestPageStoreUnknownTablePanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	store.Fetch(PageID{Table: 99, No: 0})
+	store.fetch(PageID{Table: 99, No: 0}, nil)
 }
 
 func TestDiskStats(t *testing.T) {

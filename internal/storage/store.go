@@ -51,9 +51,11 @@ func (s *PageStore) SortedTables() []*Table {
 	return out
 }
 
-// Fetch builds a fresh frame for page id: every miss gets new header-line
-// and latch state, as a page read from disk into a new frame would.
-func (s *PageStore) Fetch(id PageID) *Page {
+// fetch reads page id into p, a recycled frame's page, or into a new Page
+// when p is nil. Either way the page starts fresh, with a clean dirty bit,
+// an untouched header line and an idle latch, as a page read from disk
+// into a frame would.
+func (s *PageStore) fetch(id PageID, p *Page) *Page {
 	t := s.Table(id.Table)
 	if t == nil {
 		panic("storage: fetch of page for unknown table")
@@ -61,7 +63,11 @@ func (s *PageStore) Fetch(id PageID) *Page {
 	if id.No < 0 || id.No >= t.NumPages() {
 		panic("storage: fetch of page beyond table end")
 	}
-	return &Page{ID: id}
+	if p == nil {
+		return &Page{ID: id}
+	}
+	*p = Page{ID: id}
+	return p
 }
 
 // Version returns the version counter of row key (0 until first set).
@@ -82,8 +88,10 @@ func (s *PageStore) SetVersion(table TableID, key int64, v uint64) {
 	if v == 0 && (no >= int64(len(st.versions)) || st.versions[no] == nil) {
 		return
 	}
-	for int64(len(st.versions)) <= no {
-		st.versions = append(st.versions, nil)
+	if have := int64(len(st.versions)); no >= have {
+		// Grow the index once, to cover the whole table, rather than page
+		// by page as writes reach further into it.
+		st.versions = append(st.versions, make([][]uint64, max(no+1, st.def.NumPages())-have)...)
 	}
 	if st.versions[no] == nil {
 		st.versions[no] = make([]uint64, per)

@@ -41,8 +41,8 @@ func TestPageRejectsDegenerateRecords(t *testing.T) {
 	})
 	store := NewPageStore()
 	store.AddTable(&Table{ID: 1, RowBytes: 250, NumRows: 100}) // pages 0..3
-	mustPanic("page beyond table end", func() { store.Fetch(PageID{Table: 1, No: 4}) })
-	mustPanic("negative page", func() { store.Fetch(PageID{Table: 1, No: -1}) })
+	mustPanic("page beyond table end", func() { store.fetch(PageID{Table: 1, No: 4}, nil) })
+	mustPanic("negative page", func() { store.fetch(PageID{Table: 1, No: -1}, nil) })
 }
 
 // TestPageModelProperty runs random version writes over a few pages against
@@ -110,7 +110,7 @@ func TestSynthesizePageContents(t *testing.T) {
 	store := NewPageStore()
 	tab := &Table{ID: 3, Name: "rows", RowBytes: 250, NumRows: 100}
 	store.AddTable(tab)
-	p := store.Fetch(PageID{Table: tab.ID, No: 2})
+	p := store.fetch(PageID{Table: tab.ID, No: 2}, nil)
 	if p.ID != (PageID{Table: tab.ID, No: 2}) || p.Dirty {
 		t.Errorf("fresh page %v dirty=%v", p.ID, p.Dirty)
 	}
@@ -140,5 +140,60 @@ func TestRowVersionBump(t *testing.T) {
 	}
 	if store.SumVersions() != 2 {
 		t.Errorf("SumVersions = %d, want 2", store.SumVersions())
+	}
+}
+
+// TestVersionIndexGrowth: the per-page index grows to cover the table in one
+// allocation, reads past it see version 0, and a table grown past its
+// load-time pages by inserts still stores and sums versions.
+func TestVersionIndexGrowth(t *testing.T) {
+	store := NewPageStore()
+	tab := &Table{ID: 1, RowBytes: 250, NumRows: 320 * 32} // 320 pages of 32
+	store.AddTable(tab)
+	st := store.tables[tab.ID]
+	last := tab.NumRows - 1
+	if a := testing.AllocsPerRun(20, func() {
+		st.versions = nil
+		store.SetVersion(tab.ID, last, 1)
+	}); a != 2 {
+		t.Errorf("first write to the last page allocated %v times, want 2 (index, page chunk)", a)
+	}
+	if n := int64(len(st.versions)); n != tab.NumPages() {
+		t.Errorf("index covers %d pages, want %d", n, tab.NumPages())
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		st.versions = nil
+		store.SetVersion(tab.ID, 0, 1)
+	}); a != 2 {
+		t.Errorf("first write to page 0 allocated %v times, want 2 (index, page chunk)", a)
+	}
+	if n := int64(len(st.versions)); n != tab.NumPages() {
+		t.Errorf("a write to page 0 grew the index to %d pages, want all %d", n, tab.NumPages())
+	}
+	store.SetVersion(tab.ID, last, 1)
+	if v := store.Version(tab.ID, tab.NumRows+10*32); v != 0 {
+		t.Errorf("version beyond the index = %d, want 0", v)
+	}
+
+	// Inserts append rows past the loaded end, as the engine does.
+	for i := int64(0); i < 100; i++ {
+		key := tab.NumRows
+		tab.NumRows++
+		store.SetVersion(tab.ID, key, 3)
+	}
+	if n := int64(len(st.versions)); n != tab.NumPages() {
+		t.Errorf("index covers %d pages after inserts, want %d", n, tab.NumPages())
+	}
+	if v := store.Version(tab.ID, tab.NumRows-1); v != 3 {
+		t.Errorf("inserted row version = %d, want 3", v)
+	}
+	if sum, want := store.SumVersions(), uint64(1+1+100*3); sum != want {
+		t.Errorf("SumVersions = %d, want %d", sum, want)
+	}
+	// A write further out than the table's pages still lands.
+	far := tab.NumRows + 5*32
+	store.SetVersion(tab.ID, far, 4)
+	if v := store.Version(tab.ID, far); v != 4 {
+		t.Errorf("version past the table end = %d, want 4", v)
 	}
 }
