@@ -38,6 +38,32 @@ func BenchmarkKernelWakeContended(b *testing.B) {
 	b.ReportMetric(float64(k.Events())/b.Elapsed().Seconds(), "events/s")
 }
 
+// BenchmarkKernelHandoffDeep measures Proc-to-Proc handoffs at a realistic
+// heap depth: 64 Procs advance by xorshift-random delays, so almost every
+// Advance finds another Proc due first and hands off to it with 63 wakes
+// pending. One op is one Advance.
+func BenchmarkKernelHandoffDeep(b *testing.B) {
+	const procs = 64
+	k := NewKernel()
+	defer k.Close()
+	per := (b.N + procs - 1) / procs
+	for w := 0; w < procs; w++ {
+		x := uint64(w)*0x9E3779B97F4A7C15 + 1
+		k.Spawn("w", func(p *Proc) {
+			for i := 0; i < per; i++ {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				p.Advance(Time(x % 64))
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.ReportMetric(float64(k.Events())/b.Elapsed().Seconds(), "events/s")
+}
+
 // BenchmarkQueueHandoff measures a producer/consumer pair exchanging items
 // through a Queue: Push/unpark on one side, Pop/park on the other.
 func BenchmarkQueueHandoff(b *testing.B) {

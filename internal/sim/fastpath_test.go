@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -256,5 +257,115 @@ func TestAdvanceFastPathCountsEvents(t *testing.T) {
 	// 1 spawn event + 10 advances.
 	if k.Events() != 11 {
 		t.Errorf("Events() = %d, want 11", k.Events())
+	}
+}
+
+// handoffScript runs 64 Procs in four domains of 16 on a kernel with the
+// given shard count, each Proc making seeded random Advance calls mixed with
+// Mutex sections, blocking Queue pops fed by Push and PushAfter, and After
+// callbacks scheduled to fire exactly at another Proc's wake target. At this
+// depth almost every Advance hands off to another Proc. drive runs the
+// kernel; the script never depends on how, so every driver must produce the
+// same per-domain traces and the same Events().
+func handoffScript(seed int64, shards int, drive func(*Kernel)) (traces [][]string, events uint64) {
+	const nDoms, perDom, steps = 4, 16, 60
+	k := NewSharded(shards, 50)
+	defer k.Close()
+	traces = make([][]string, nDoms)
+	for di := 0; di < nDoms; di++ {
+		di := di
+		d := k.NewDomain(di % shards)
+		q := NewQueueIn[int](d)
+		var mu Mutex
+		credit := 0     // items pushed or in flight minus pops requested
+		var target Time // the latest wake target announced by a Proc
+		log := func(format string, args ...any) {
+			traces[di] = append(traces[di], fmt.Sprintf(format, args...))
+		}
+		for pi := 0; pi < perDom; pi++ {
+			id := di*perDom + pi
+			rng := rand.New(rand.NewSource(seed*1000 + int64(id)))
+			d.Spawn(fmt.Sprintf("p%d", id), func(p *Proc) {
+				for s := 0; s < steps; s++ {
+					switch op := rng.Intn(10); {
+					case op < 3: // colliding targets: many Procs wake together
+						target = p.Now() + Time(rng.Intn(3))
+						p.Advance(target - p.Now())
+					case op < 5:
+						target = p.Now() + Time(rng.Intn(40))
+						p.Advance(target - p.Now())
+					case op == 5:
+						mu.Lock(p)
+						p.Advance(Time(1 + rng.Intn(4)))
+						log("p%d crit@%d", id, p.Now())
+						mu.Unlock(p)
+					case op == 6:
+						v := id*1000 + s
+						credit++
+						if rng.Intn(2) == 0 {
+							q.Push(v)
+						} else {
+							q.PushAfter(Time(rng.Intn(10)), v)
+						}
+					case op == 7 && credit > 0:
+						credit--
+						log("p%d pop%d@%d", id, q.Pop(p), p.Now())
+					default: // a callback due exactly at a parked Proc's target
+						if at := target; at >= p.Now() {
+							d.After(at-p.Now(), func() { log("fn p%d@%d", id, d.Now()) })
+						}
+						p.Advance(0)
+					}
+				}
+				log("p%d done@%d", id, p.Now())
+			})
+		}
+	}
+	drive(k)
+	return traces, k.Events()
+}
+
+// TestHandoffAtDepthMatchesStep checks the fused Proc handoff at realistic
+// heap depth: Run (fused handoffs), a Step loop (every handoff parks in the
+// heap), RunUntil in random slices (handoffs fused up to each slice's edge)
+// and 2- and 4-shard kernels (window edges) must all execute the same events
+// in the same order.
+func TestHandoffAtDepthMatchesStep(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		ref, refEvents := handoffScript(seed, 1, (*Kernel).Run)
+		if n := len(ref[0]); n < 100 {
+			t.Fatalf("seed %d: domain 0 logged only %d entries", seed, n)
+		}
+		slices := rand.New(rand.NewSource(seed))
+		drivers := []struct {
+			name   string
+			shards int
+			drive  func(*Kernel)
+		}{
+			{"Step", 1, func(k *Kernel) {
+				for k.Step() {
+				}
+			}},
+			{"RunUntil", 1, func(k *Kernel) {
+				for k.Pending() > 0 {
+					k.RunUntil(k.Now() + Time(slices.Intn(30)))
+				}
+			}},
+			{"Run/2 shards", 2, (*Kernel).Run},
+			{"Run/4 shards", 4, (*Kernel).Run},
+		}
+		for _, dr := range drivers {
+			got, gotEvents := handoffScript(seed, dr.shards, dr.drive)
+			if gotEvents != refEvents {
+				t.Errorf("seed %d, %s: Events() = %d, want %d", seed, dr.name, gotEvents, refEvents)
+			}
+			for i := range ref {
+				if !reflect.DeepEqual(got[i], ref[i]) {
+					t.Errorf("seed %d, %s: domain %d trace diverges:\n got %v\nwant %v",
+						seed, dr.name, i, got[i], ref[i])
+					break
+				}
+			}
+		}
 	}
 }

@@ -60,55 +60,62 @@ type timerHeap struct {
 func (h *timerHeap) len() int    { return len(h.ev) }
 func (h *timerHeap) empty() bool { return len(h.ev) == 0 }
 
+// push and siftDown move a hole through the tree and write the placed event
+// once, instead of swapping 48-byte events at every level.
 func (h *timerHeap) push(e event) {
-	h.ev = append(h.ev, e)
+	h.ev = append(h.ev, event{})
 	i := len(h.ev) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !h.ev[i].before(&h.ev[p]) {
+		if !e.before(&h.ev[p]) {
 			break
 		}
-		h.ev[i], h.ev[p] = h.ev[p], h.ev[i]
+		h.ev[i] = h.ev[p]
 		i = p
 	}
+	h.ev[i] = e
 }
 
 func (h *timerHeap) pop() event {
 	top := h.ev[0]
 	n := len(h.ev) - 1
-	h.ev[0] = h.ev[n]
+	last := h.ev[n]
 	h.ev[n] = event{} // release fn/proc references to the GC
 	h.ev = h.ev[:n]
-	if n > 1 {
-		h.siftDown()
+	if n > 0 {
+		h.siftDown(last)
 	}
 	return top
 }
 
-func (h *timerHeap) siftDown() {
+// siftDown writes e into the root slot, overwriting the current root, and
+// restores heap order. On its own it is the fused pop-then-push of a Proc
+// handoff (see Proc.Advance).
+func (h *timerHeap) siftDown(e event) {
 	n := len(h.ev)
 	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
-			return
+			break
 		}
 		last := first + 4
 		if last > n {
 			last = n
 		}
-		min := i
-		for c := first; c < last; c++ {
+		min := first
+		for c := first + 1; c < last; c++ {
 			if h.ev[c].before(&h.ev[min]) {
 				min = c
 			}
 		}
-		if min == i {
-			return
+		if !h.ev[min].before(&e) {
+			break
 		}
-		h.ev[i], h.ev[min] = h.ev[min], h.ev[i]
+		h.ev[i] = h.ev[min]
 		i = min
 	}
+	h.ev[i] = e
 }
 
 // Horizon sentinels: noHorizon forbids any inline clock advance (single-step
@@ -139,6 +146,12 @@ type shard struct {
 
 	heap    timerHeap
 	nEvents uint64
+
+	// ready is the Proc a fused handoff (Proc.Advance) picked off the heap
+	// root, due at readyAt: dispatch resumes it next without returning to
+	// the event loop.
+	ready   *Proc
+	readyAt Time
 
 	// inbox receives events scheduled cross-shard, already carrying their
 	// final (at, dom, seq) keys; the coordinator folds them into the heap at
@@ -174,15 +187,26 @@ func (sh *shard) step() bool {
 // dispatch executes one popped event. Proc panics and kernel-context
 // callback panics both unwind through here into Step/Run (on a worker
 // goroutine they are captured and re-raised at the window barrier).
+//
+// A Proc event may chain: when the resumed Proc hands off to the next Proc
+// in Advance, it leaves that Proc in sh.ready, and dispatch runs it exactly
+// as step would have run its popped wake event.
 func (sh *shard) dispatch(e *event) {
 	switch {
 	case e.proc != nil:
 		p := e.proc
-		if p.dead {
-			return
+		for {
+			if !p.dead {
+				p.started = true
+				p.next()
+			}
+			if p = sh.ready; p == nil {
+				return
+			}
+			sh.ready = nil
+			sh.now = sh.readyAt
+			sh.nEvents++
 		}
-		p.started = true
-		p.next()
 	case e.fn != nil:
 		e.fn()
 	default:
@@ -523,6 +547,7 @@ func (k *Kernel) Close() {
 	for _, sh := range k.shards {
 		sh.heap.ev = nil
 		sh.inbox = nil
+		sh.ready = nil
 	}
 }
 

@@ -105,8 +105,12 @@ func (p *Proc) yieldWait() {
 // clock itself — zero coroutine switches and zero heap traffic for its own
 // wakeup. The advancing Proc temporarily is its shard's event loop. Only
 // when another Proc is scheduled to run first does Advance park in the
-// timer heap and hand control back. Event order, timestamps, and
-// Kernel.Events() are identical on both paths.
+// timer heap and hand control back. Inside the horizon that handoff is
+// fused: the other Proc's wake is the heap root, so Advance overwrites the
+// root with its own wake (one sift, no push/pop pair) and leaves the other
+// Proc for the shard's dispatch loop to resume. Beyond the horizon (Step,
+// window edges) Advance pushes its wake and yields to the event loop.
+// Event order, timestamps, and Kernel.Events() are identical on all paths.
 func (p *Proc) Advance(d Time) {
 	if d < 0 {
 		d = 0
@@ -134,7 +138,14 @@ func (p *Proc) Advance(d Time) {
 				return
 			}
 			if min.proc != nil {
-				break // another Proc runs first: real handoff
+				// Another Proc runs first: hand off to it. The root is the
+				// next event and lies within the horizon, so our wake
+				// replaces it in one sift and the root's Proc is resumed
+				// directly by dispatch — the push/pop pair fused into one.
+				sh.ready, sh.readyAt = min.proc, min.at
+				sh.heap.siftDown(event{at: target, dom: dom.id, seq: seq, proc: p})
+				p.yieldWait()
+				return
 			}
 			e := sh.heap.pop()
 			sh.now = e.at

@@ -1,12 +1,14 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock by executing events in timestamp order.
-// Simulated threads (Procs) are goroutines that run strictly one at a time,
-// hand control back to the kernel whenever they consume virtual time or block
-// on a synchronization primitive, and therefore need no real locking: all
-// state touched by Procs is effectively single-threaded. Runs are fully
-// deterministic — ties in the event queue break by insertion order — which
-// makes every experiment in this repository reproducible bit-for-bit.
+// Simulated threads (Procs) are coroutines that hand control back to the
+// kernel whenever they consume virtual time or block on a synchronization
+// primitive. The kernel's timeline is split into shards, and at most one Proc
+// per shard runs at a time, so state owned by a shard needs no real locking.
+// Runs are fully deterministic — ties in the event queue break by the
+// (domain, sequence) key that the scheduling domain assigns to every event,
+// never by shard or wall-clock order — which makes every experiment in this
+// repository reproducible bit-for-bit at any shard count.
 package sim
 
 import "fmt"
