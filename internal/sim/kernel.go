@@ -89,8 +89,8 @@ func (h *timerHeap) pop() event {
 }
 
 // siftDown writes e into the root slot, overwriting the current root, and
-// restores heap order. On its own it is the fused pop-then-push of a Proc
-// handoff (see Proc.Advance).
+// restores heap order. Proc.Advance calls it directly to replace the root
+// with its own wake in a fused handoff.
 func (h *timerHeap) siftDown(e event) {
 	n := len(h.ev)
 	i := 0
