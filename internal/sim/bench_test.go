@@ -148,3 +148,32 @@ func BenchmarkPushAfter(b *testing.B) {
 	k.Run()
 	b.ReportMetric(float64(k.Events())/b.Elapsed().Seconds(), "events/s")
 }
+
+// BenchmarkKernelShardedWindows measures the windowed parallel driver: 16
+// domains of 5 xorshift Procs each, round-robin over 2 shards, with no
+// cross-shard traffic, so every window releases both shards and the cost is
+// the per-event work plus one barrier per window. One op is one Advance.
+func BenchmarkKernelShardedWindows(b *testing.B) {
+	const doms, procsPer = 16, 5
+	k := NewSharded(2, 1000)
+	defer k.Close()
+	per := (b.N + doms*procsPer - 1) / (doms * procsPer)
+	for d := 0; d < doms; d++ {
+		dom := k.NewDomain(d % 2)
+		for w := 0; w < procsPer; w++ {
+			x := uint64(d*procsPer+w)*0x9E3779B97F4A7C15 + 1
+			dom.Spawn("w", func(p *Proc) {
+				for i := 0; i < per; i++ {
+					x ^= x << 13
+					x ^= x >> 7
+					x ^= x << 17
+					p.Advance(Time(x % 64))
+				}
+			})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.ReportMetric(float64(k.Events())/b.Elapsed().Seconds(), "events/s")
+}

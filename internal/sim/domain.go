@@ -17,10 +17,15 @@ package sim
 // only with a delay no shorter than the kernel's lookahead. Creating domains
 // and spawning procs is only safe while the kernel is idle (no Run/RunUntil
 // in progress) or from the domain's own shard.
+//
+// seq is written on every event the domain schedules, so a Domain fills a
+// whole cache line: domains of two shards allocated side by side must not
+// share one.
 type Domain struct {
 	sh  *shard
 	id  int32
 	seq uint64
+	_   [cacheLine - 24]byte
 }
 
 // NewDomain creates a new determinism domain pinned to the given shard.

@@ -125,15 +125,26 @@ const (
 	maxHorizon Time = math.MaxInt64
 )
 
+// cacheLine is the coherence granule the kernel pads its hot per-shard and
+// per-domain words to. Two shards run on two host cores at once; a word one
+// of them writes on every event must not share a line with anything the
+// other touches, or each write steals the line from the other core.
+const cacheLine = 64
+
 // shard is one independently-advancing slice of the timeline: a clock, an
 // event heap, and an inbound mailbox for events scheduled by domains living
 // on other shards. A single-shard kernel is exactly the classic sequential
-// kernel; a multi-shard kernel runs each shard's events on its own goroutine
-// between conservative synchronization barriers (see parallel.go).
+// kernel; a multi-shard kernel runs its shards concurrently between
+// conservative synchronization barriers (see parallel.go).
+//
+// The layout is five cache lines, grouped by writer: the event loop's own
+// words; the mailbox, which other shards write mid-window; the release gate
+// the coordinator posts; the finish gate the shard's worker posts; and the
+// cold tail. The struct's size is a multiple of cacheLine, so the allocator
+// places it line-aligned and the groups never share a line, with each other
+// or with a neighboring shard.
 type shard struct {
-	k  *Kernel
-	id int
-
+	// Line 0, written by the shard's event loop on every event.
 	now Time
 
 	// horizon bounds the kernel-context fast path: a Proc may consume
@@ -153,16 +164,30 @@ type shard struct {
 	ready   *Proc
 	readyAt Time
 
-	// inbox receives events scheduled cross-shard, already carrying their
-	// final (at, dom, seq) keys; the coordinator folds them into the heap at
-	// window barriers, which is safe because conservative lookahead
+	// Line 1. inbox receives events scheduled cross-shard, already carrying
+	// their final (at, dom, seq) keys; the coordinator folds them into the
+	// heap at window barriers, which is safe because conservative lookahead
 	// guarantees they are due no earlier than the next window.
+	k     *Kernel
+	id    int
 	inMu  sync.Mutex
 	inbox []event
+	_     [cacheLine - 48]byte
 
-	// Worker-goroutine plumbing; nil until a multi-shard run starts.
-	limit    chan Time
+	// Lines 2 and 3: the window barrier (parallel.go). The coordinator posts
+	// rel to release the shard's worker into a window; the worker posts fin
+	// when the window is done.
+	rel, fin gate
+
+	// Line 4, cold. released counts this shard's windows (the value rel and
+	// fin carry); spin says whether the worker may spin while it waits for
+	// the next release; stop ends the worker at Close; panicked holds a
+	// panic captured inside a window until the coordinator re-raises it.
+	released uint64
+	spin     bool
+	stop     bool
 	panicked any
+	_        [cacheLine - 32]byte
 }
 
 func (sh *shard) clamp(at Time) Time {
@@ -259,7 +284,6 @@ type Kernel struct {
 	procs  []*Proc
 
 	workersOn bool
-	wg        sync.WaitGroup
 }
 
 // noChannel marks a shard pair with no declared delivery channel: no
@@ -408,8 +432,9 @@ func (k *Kernel) Windows() uint64 { return k.windows }
 
 // Wakeups returns the total number of per-shard barrier crossings — the sum
 // over windows of shards released into that window. This is the real cost of
-// conservative synchronization (channel send + goroutine wakeup + WaitGroup
-// join per released shard, cache-warming its heap each round). Under the
+// conservative synchronization: per released shard, one release and one join
+// through its barrier gates (shard 0, which the coordinator runs inline,
+// counts as one wakeup too), and a heap re-warmed each round. Under the
 // distance-aware matrix, shards whose window limits run far beyond their
 // neighbors execute in wide bursts and sit out the rounds in between; under
 // the global-min policy every shard with any runnable event is woken every
@@ -528,12 +553,7 @@ func (k *Kernel) RunFor(d Time) { k.RunUntil(k.maxNow() + d) }
 // worker goroutines. The kernel must be idle (called from outside Run). A
 // closed kernel must not be reused.
 func (k *Kernel) Close() {
-	if k.workersOn {
-		k.workersOn = false
-		for _, sh := range k.shards {
-			close(sh.limit)
-		}
-	}
+	k.stopWorkers()
 	k.procMu.Lock()
 	procs := k.procs
 	k.procs = nil

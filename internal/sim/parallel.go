@@ -1,6 +1,10 @@
 package sim
 
-import "sync"
+import (
+	"runtime"
+	"sync/atomic"
+	"time"
+)
 
 // Conservative windowed execution for multi-shard kernels.
 //
@@ -23,9 +27,18 @@ import "sync"
 //     no route into it at all runs to its cap in one window.
 //  3. releases the shards whose next event falls inside their limit to
 //     execute in parallel, horizon pinned to the limit so proc fast-path
-//     advances stay inside the window;
-//  4. joins at a barrier; panics captured on workers re-raise here,
-//     lowest shard id first, so failures surface deterministically.
+//     advances stay inside the window. Shards 1..n-1 run on persistent
+//     worker goroutines, released through their own rel gate; shard 0 runs
+//     inline on the coordinator goroutine, which would otherwise sit idle
+//     in the join, so shard 0's Procs stay on the thread that drives the
+//     run and one wakeup per window needs no goroutine switch at all;
+//  4. joins at a barrier: the coordinator waits on each released worker's
+//     fin gate. Gates spin, then park (see gate), and spin only while the
+//     released workers plus the coordinator fit in GOMAXPROCS, so an
+//     oversubscribed kernel parks at once instead of burning the CPUs its
+//     workers need. Panics captured in any shard's window, shard 0's
+//     included, re-raise here after the join, lowest shard id first, so
+//     failures surface deterministically.
 //
 // With a uniform matrix this degenerates to (at least) the classic global
 // window [m, m+la): every L_i >= m + la - 1. With distance-aware floors,
@@ -42,29 +55,109 @@ import "sync"
 // independent by the lookahead-closure argument, so their relative
 // wall-clock order cannot affect simulation state.
 
-// startWorkers launches one persistent goroutine per shard, fed window
-// limits over a channel. Workers live until Close.
+// spinFor bounds how long a gate waiter spins before it parks. A wait is
+// one shard's share of a window's load imbalance: on the 2-shard multisite
+// benchmark almost all of them end within a millisecond. A longer wait is an
+// idle stretch (the run has ended, or the driver is busy between RunUntil
+// calls) worth giving the thread back for.
+const spinFor = time.Millisecond
+
+// gate is a spin-then-park signal on one cache line: one goroutine posts a
+// counter value, another waits until the word holds it. A waiter first
+// polls the word (when told it may spin), then parks on the wake channel
+// after writing the value it waits for into parked. post stores the word
+// before it reads parked, and the waiter writes parked before it re-reads
+// the word; both are sequentially consistent atomics, so at least one side
+// sees the other's store, and whichever swaps parked from v to 0 owns the
+// single wake token. parked holds v rather than a flag so that a post of v
+// still in flight cannot claim the waiter's next wait, for v+1, and hand it
+// a token early. A spinning waiter polls the word 64 times between
+// runtime.Gosched calls, so a goroutine queued behind it on the same P
+// still runs.
+type gate struct {
+	word   atomic.Uint64
+	parked atomic.Uint64
+	wake   chan struct{}
+	_      [cacheLine - 24]byte
+}
+
+func (g *gate) post(v uint64) {
+	g.word.Store(v)
+	if g.parked.Load() == v && g.parked.CompareAndSwap(v, 0) {
+		g.wake <- struct{}{}
+	}
+}
+
+// wait returns once the word holds v. The word only moves forward, and
+// only to the value a waiter waits for next.
+func (g *gate) wait(v uint64, spin bool) {
+	if spin {
+		for start := time.Now(); time.Since(start) < spinFor; runtime.Gosched() {
+			for i := 0; i < 64; i++ {
+				if g.word.Load() == v {
+					return
+				}
+			}
+		}
+	}
+	g.parked.Store(v)
+	if g.word.Load() == v && g.parked.CompareAndSwap(v, 0) {
+		return
+	}
+	<-g.wake
+}
+
+// startWorkers launches one persistent goroutine for each shard but shard
+// 0, which the coordinator runs itself. Workers live until Close.
 func (k *Kernel) startWorkers() {
 	if k.workersOn {
 		return
 	}
 	k.workersOn = true
-	for _, sh := range k.shards {
-		sh.limit = make(chan Time, 1)
-		go sh.serve(&k.wg)
+	for _, sh := range k.shards[1:] {
+		sh.rel.wake = make(chan struct{}, 1)
+		sh.fin.wake = make(chan struct{}, 1)
+		go sh.serve()
 	}
 }
 
-// serve is the worker goroutine body: one window per received limit. A
-// panic inside the window is captured so the barrier always completes; the
-// coordinator re-raises it.
-func (sh *shard) serve(wg *sync.WaitGroup) {
-	for limit := range sh.limit {
-		sh.runTo(limit)
-		wg.Done()
+// serve is the worker goroutine body: one window per release, up to the
+// horizon the coordinator set, until a release with stop set.
+func (sh *shard) serve() {
+	spin := false
+	for n := uint64(1); ; n++ {
+		sh.rel.wait(n, spin)
+		if sh.stop {
+			sh.fin.post(n)
+			return
+		}
+		spin = sh.spin
+		sh.runTo(sh.horizon)
+		sh.fin.post(n)
 	}
 }
 
+// stopWorkers releases every worker with stop set and waits until each has
+// acknowledged, whether it was spinning or parked, so no worker goroutine
+// outlives Close.
+func (k *Kernel) stopWorkers() {
+	if !k.workersOn {
+		return
+	}
+	k.workersOn = false
+	for _, sh := range k.shards[1:] {
+		sh.stop = true
+		sh.released++
+		sh.rel.post(sh.released)
+	}
+	for _, sh := range k.shards[1:] {
+		sh.fin.wait(sh.released, false)
+	}
+}
+
+// runTo executes the shard's events up to limit. A panic inside the window
+// is captured so the barrier always completes; the coordinator re-raises
+// it.
 func (sh *shard) runTo(limit Time) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -136,35 +229,55 @@ func (k *Kernel) computeWindow(cap Time) int {
 	return active
 }
 
-// runWindow executes one synchronized window: every shard whose next event
-// falls inside its limit runs on its own goroutine, then the coordinator
-// joins them. Shards with nothing runnable this window sit it out entirely
-// (no channel send, no barrier slot).
-func (k *Kernel) runWindow(active int) {
+// runWindow executes one synchronized window: every worker shard whose
+// next event falls inside its limit is released, the coordinator runs shard
+// 0's window itself if it has one, then joins the workers. Shards with
+// nothing runnable this window sit it out entirely (no release, no barrier
+// slot). maxProcs is GOMAXPROCS for the run.
+func (k *Kernel) runWindow(active, maxProcs int) {
 	k.windows++
 	k.wakeups += uint64(active)
-	k.wg.Add(active)
+	runs := func(i int) bool { return k.mins[i] != noChannel && k.mins[i] <= k.limits[i] }
+	released := active
+	if runs(0) {
+		released--
+	}
+	spin := released+1 <= maxProcs
 	for i, sh := range k.shards {
-		if k.mins[i] == noChannel || k.mins[i] > k.limits[i] {
+		if i == 0 || !runs(i) {
 			continue
 		}
 		sh.horizon = k.limits[i]
-		sh.limit <- k.limits[i]
+		sh.spin = spin
+		sh.released++
+		sh.rel.post(sh.released)
 	}
-	k.wg.Wait()
+	if sh := k.shards[0]; runs(0) {
+		sh.horizon = k.limits[0]
+		sh.runTo(sh.horizon)
+	}
+	// A worker sitting this window out has already posted its count, so its
+	// wait returns at the first poll.
+	for _, sh := range k.shards[1:] {
+		sh.fin.wait(sh.released, spin)
+	}
+	var first any
 	for _, sh := range k.shards {
 		sh.horizon = noHorizon
-		if r := sh.panicked; r != nil {
-			sh.panicked = nil
-			panic(r)
+		if first == nil {
+			first = sh.panicked
 		}
+		sh.panicked = nil
+	}
+	if first != nil {
+		panic(first)
 	}
 }
 
 // drainInboxes folds every shard's inbound mailbox into its heap. Only
 // called at barriers (no worker running), but the mailbox mutex is still
 // taken: a Go memory-model happens-before edge with the sending shard's
-// last window is established by the barrier's WaitGroup, and the lock keeps
+// last window is established by the barrier's fin gate, and the lock keeps
 // -race provably clean if a send raced the final window edge.
 func (k *Kernel) drainInboxes() {
 	for _, sh := range k.shards {
@@ -197,13 +310,14 @@ func (k *Kernel) nextEventTime() (Time, bool) {
 // a runnable event at or below cap.
 func (k *Kernel) runShardedTo(cap Time) {
 	k.startWorkers()
+	maxProcs := runtime.GOMAXPROCS(0)
 	for {
 		k.drainInboxes()
 		active := k.computeWindow(cap)
 		if active == 0 {
 			break
 		}
-		k.runWindow(active)
+		k.runWindow(active, maxProcs)
 	}
 }
 

@@ -4,9 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
+	"unsafe"
 )
 
 func TestNewShardedValidation(t *testing.T) {
@@ -122,16 +127,16 @@ func TestShardedRunUntilAdvancesAllClocks(t *testing.T) {
 // shardedScript runs a deterministic pseudo-random message-passing workload —
 // nDoms domains ping-ponging over queues with cross-domain delays at or above
 // the lookahead — on a kernel with the given shard count, and returns the
-// per-domain receive/send traces plus the kernel's event count. The script
+// per-domain receive/send traces plus the kernel's counters. The script
 // itself never mentions shards: domains are mapped round-robin, so any
-// difference between shard counts is a determinism bug.
-func shardedScript(seed int64, shards, nDoms, steps int) (traces [][]string, events uint64) {
+// difference in traces or events between shard counts is a determinism bug.
+func shardedScript(seed int64, shards, nDoms, steps int) scriptRun {
 	const la = 200
 	k := NewSharded(shards, la)
 	defer k.Close()
 	doms := make([]*Domain, nDoms)
 	queues := make([]*Queue[int], nDoms)
-	traces = make([][]string, nDoms)
+	traces := make([][]string, nDoms)
 	for i := range doms {
 		doms[i] = k.NewDomain(i % shards)
 		queues[i] = NewQueueIn[int](doms[i])
@@ -160,7 +165,12 @@ func shardedScript(seed int64, shards, nDoms, steps int) (traces [][]string, eve
 		})
 	}
 	k.Run()
-	return traces, k.Events()
+	return scriptRun{traces, k.Events(), k.Windows(), k.Wakeups()}
+}
+
+type scriptRun struct {
+	traces                   [][]string
+	events, windows, wakeups uint64
 }
 
 // TestShardedMatchesSingle is the cross-shard ordering property test: for
@@ -172,9 +182,11 @@ func shardedScript(seed int64, shards, nDoms, steps int) (traces [][]string, eve
 func TestShardedMatchesSingle(t *testing.T) {
 	const nDoms, steps = 6, 40
 	f := func(seed int64) bool {
-		ref, refEvents := shardedScript(seed, 1, nDoms, steps)
+		r := shardedScript(seed, 1, nDoms, steps)
+		ref, refEvents := r.traces, r.events
 		for _, shards := range []int{2, 3, 4} {
-			got, gotEvents := shardedScript(seed, shards, nDoms, steps)
+			r := shardedScript(seed, shards, nDoms, steps)
+			got, gotEvents := r.traces, r.events
 			if gotEvents != refEvents {
 				t.Logf("seed %d: Events() = %d on %d shards, want %d", seed, gotEvents, shards, refEvents)
 				return false
@@ -436,5 +448,212 @@ func TestShardedMatrixMatchesSingle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Error(err)
+	}
+}
+
+// withGOMAXPROCS runs fn at the given GOMAXPROCS and restores the previous
+// setting afterwards.
+func withGOMAXPROCS(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// TestShardedOversubscribed runs the ping-pong script with more shards than
+// GOMAXPROCS — 8 shards on one P, 16 on two — where the window barrier must
+// park instead of spin. Each run must finish with the 1-shard traces and
+// event count, and with the same Windows and Wakeups as that shard count
+// at the default GOMAXPROCS: both are virtual-time counters.
+func TestShardedOversubscribed(t *testing.T) {
+	const seed, nDoms, steps = 7, 16, 40
+	ref := shardedScript(seed, 1, nDoms, steps)
+	for _, c := range []struct{ procs, shards int }{{1, 8}, {2, 16}} {
+		want := shardedScript(seed, c.shards, nDoms, steps)
+		var got scriptRun
+		withGOMAXPROCS(c.procs, func() { got = shardedScript(seed, c.shards, nDoms, steps) })
+		if got.events != ref.events || !reflect.DeepEqual(got.traces, ref.traces) {
+			t.Errorf("GOMAXPROCS=%d, %d shards: events %d, traces equal %v; want the 1-shard run (events %d)",
+				c.procs, c.shards, got.events, reflect.DeepEqual(got.traces, ref.traces), ref.events)
+		}
+		if got.windows != want.windows || got.wakeups != want.wakeups {
+			t.Errorf("GOMAXPROCS=%d, %d shards: windows/wakeups = %d/%d, want %d/%d",
+				c.procs, c.shards, got.windows, got.wakeups, want.windows, want.wakeups)
+		}
+		if got.windows == 0 {
+			t.Errorf("GOMAXPROCS=%d, %d shards: no windows ran", c.procs, c.shards)
+		}
+	}
+}
+
+// awaitGoroutines waits until runtime.NumGoroutine is back to base, failing
+// the test if it is not within a few seconds.
+func awaitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, want <= %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// bombs returns a kernel with two shards whose domains panic with their
+// shard's name at virtual time 10, inside the first window; only the
+// shards listed in panicking panic, the others finish normally.
+func bombs(panicking ...int) *Kernel {
+	k := NewSharded(2, 50)
+	for sh := 0; sh < 2; sh++ {
+		name := fmt.Sprintf("boom%d", sh)
+		bomb := slices.Contains(panicking, sh)
+		k.NewDomain(sh).Spawn(name, func(p *Proc) {
+			p.Advance(10)
+			if bomb {
+				panic(name)
+			}
+			p.Advance(100)
+		})
+	}
+	return k
+}
+
+// TestShardedPanicTeardown pins the window barrier's failure and teardown
+// contract on both barrier paths — GOMAXPROCS 1, where waiters park, and 2,
+// where they spin: a panic on shard 0, which the coordinator runs inline,
+// re-raises from Run; panics on shards 0 and 1 in the same window surface
+// shard 0's; and after a recovered panic or a plain RunUntil, Close stops
+// every worker so the goroutine count returns to its baseline.
+func TestShardedPanicTeardown(t *testing.T) {
+	run := func(k *Kernel) (r any) {
+		defer func() { r = recover() }()
+		k.Run()
+		return nil
+	}
+	for _, procs := range []int{1, 2} {
+		withGOMAXPROCS(procs, func() {
+			for _, c := range []struct {
+				panicking []int
+				want      string
+			}{{[]int{0}, "boom0"}, {[]int{1}, "boom1"}, {[]int{0, 1}, "boom0"}} {
+				base := runtime.NumGoroutine()
+				k := bombs(c.panicking...)
+				if r := run(k); r != c.want {
+					t.Errorf("GOMAXPROCS=%d, panics on shards %v: Run raised %v, want %s", procs, c.panicking, r, c.want)
+				}
+				k.Close()
+				awaitGoroutines(t, base)
+			}
+			base := runtime.NumGoroutine()
+			k := bombs()
+			k.RunUntil(50)
+			k.Close()
+			awaitGoroutines(t, base)
+		})
+	}
+}
+
+// TestShardLayout pins the cache-line layout of the kernel's hot words:
+// each shard's groups start on their own line, and a shard, a gate and a
+// Domain are whole lines, so neighbors in memory never share one.
+func TestShardLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout is sized for 64-bit words")
+	}
+	var sh shard
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"offset of k", unsafe.Offsetof(sh.k), cacheLine},
+		{"offset of rel", unsafe.Offsetof(sh.rel), 2 * cacheLine},
+		{"offset of fin", unsafe.Offsetof(sh.fin), 3 * cacheLine},
+		{"offset of released", unsafe.Offsetof(sh.released), 4 * cacheLine},
+		{"size of shard", unsafe.Sizeof(sh), 5 * cacheLine},
+		{"size of gate", unsafe.Sizeof(gate{}), cacheLine},
+		{"size of Domain", unsafe.Sizeof(Domain{}), cacheLine},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestGateStalePost replays, step by step, the interleaving a parked flag
+// gets wrong: post(n) has stored the word, the waiter's wait(n) sees it and
+// returns on its own, and the waiter parks again for n+1 before post(n)
+// reads parked. Re-posting n stands for the rest of that post. It must not
+// wake the wait for n+1; only post(n+1) may.
+func TestGateStalePost(t *testing.T) {
+	var g gate
+	g.wake = make(chan struct{}, 1)
+	const n = 5
+	g.word.Store(n)
+	g.wait(n, false)
+	woke := make(chan struct{})
+	go func() {
+		g.wait(n+1, false)
+		close(woke)
+	}()
+	for g.parked.Load() == 0 {
+		runtime.Gosched()
+	}
+	g.post(n)
+	select {
+	case <-woke:
+		t.Fatal("a stale post of n woke the wait for n+1")
+	case <-time.After(20 * time.Millisecond):
+	}
+	g.post(n + 1)
+	select {
+	case <-woke:
+	case <-time.After(time.Minute):
+		t.Fatal("post(n+1) did not wake the wait for n+1")
+	}
+}
+
+// TestGateHandoff drives one gate pair the way the window barrier does — a
+// coordinator posts rel and waits on fin, a worker waits on rel, does the
+// window's work and posts fin — for many rounds with the spin flag drawn at
+// random, and checks that no wait returns before its post and no post is
+// lost. Either failure leaves the gates a round apart and hangs the
+// coordinator, so the rounds run under a deadline.
+func TestGateHandoff(t *testing.T) {
+	const rounds = 20000
+	for _, procs := range []int{2, 4} {
+		withGOMAXPROCS(procs, func() {
+			var rel, fin gate
+			rel.wake = make(chan struct{}, 1)
+			fin.wake = make(chan struct{}, 1)
+			spin := make([]bool, rounds+2)
+			rng := rand.New(rand.NewSource(int64(procs)))
+			for i := range spin {
+				spin[i] = rng.Intn(2) == 0
+			}
+			var early atomic.Uint64
+			go func() {
+				for n := uint64(1); n <= rounds; n++ {
+					rel.wait(n, spin[n])
+					if rel.word.Load() != n {
+						early.Store(n)
+					}
+					fin.post(n)
+				}
+			}()
+			joined := make(chan struct{})
+			go func() {
+				defer close(joined)
+				for n := uint64(1); n <= rounds && early.Load() == 0; n++ {
+					rel.post(n)
+					fin.wait(n, spin[n+1])
+				}
+			}()
+			select {
+			case <-joined:
+			case <-time.After(time.Minute):
+				t.Fatalf("GOMAXPROCS=%d: barrier hung; worker woke early in round %d", procs, early.Load())
+			}
+			if n := early.Load(); n != 0 {
+				t.Fatalf("GOMAXPROCS=%d: worker's wait for round %d returned before its post", procs, n)
+			}
+		})
 	}
 }
